@@ -3,8 +3,11 @@
 /// Replays one fixed-seed faulted + node-chaos trace three ways — bare,
 /// checkpointing every 60 virtual seconds, and checkpointing every 15 —
 /// and reports the wall-clock overhead of serializing the full simulator
-/// state (event registries, per-slot state, results, budget, RNG streams,
-/// ledger, metrics) through the sealed envelope + atomic-write stack.
+/// state (the pending event heap with its sequence numbers, the run_state
+/// — per-slot state, results, queue, running jobs, RNG streams — plus the
+/// budget counters, ledger and metrics) through the v2 `visit` schema and
+/// the sealed envelope + atomic-write stack. Checkpoint ticks themselves
+/// are not persisted, so the artefacts never describe their own cadence.
 ///
 /// Acceptance gates (checked, nonzero exit on violation):
 ///  - correctness: every checkpointed replay's summary CSV is byte-identical

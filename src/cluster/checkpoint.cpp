@@ -1,13 +1,11 @@
 #include "synergy/cluster/checkpoint.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "archive.hpp"
 #include "synergy/cluster/simulator.hpp"
 #include "synergy/common/checksum.hpp"
 #include "synergy/common/envelope.hpp"
@@ -32,203 +31,227 @@ using common::error;
 
 namespace {
 
-/// Parse failures inside the payload raise this; restore_checkpoint catches
-/// it (and everything else) and reports a fail-closed status — a corrupt
-/// payload that survived the CRC must still never produce UB or a throw.
-struct parse_fail : std::runtime_error {
-  using std::runtime_error::runtime_error;
+/// Everything a payload carries besides the run_state: the header, the
+/// pending events, the inventory and the attached subsystems. Built from the
+/// live objects on write; read into a fresh frame on restore and committed
+/// only after validation.
+struct checkpoint_frame {
+  std::uint64_t version{checkpoint_version};
+  std::uint32_t fingerprint{0};
+  std::uint64_t trace_crc{0};
+  engine_state engine;             ///< persisted kinds only
+  std::vector<std::size_t> nodes;  ///< node numbers, in controller order
+  std::size_t budget_rebalances{0};
+  std::size_t budget_demotions{0};
+  std::optional<guard_state> guard;
+  std::optional<std::vector<cached_plan>> cache;
+  obs::ledger_state ledger;
+  std::optional<obs::watchdog_state> watchdog;
+  std::vector<telemetry::metric_snapshot> metrics;
+  std::optional<econ::cost_meter::state> econ;
 };
 
-/// Upper bound on any serialized collection count: a CRC-valid but hostile
-/// payload (the fuzz suite re-seals mutated payloads) must not drive a
-/// multi-gigabyte reserve.
-constexpr std::uint64_t max_count = 1ull << 24;
+}  // namespace
 
-constexpr char hex_digits[] = "0123456789abcdef";
+// The schema: one visit() per persisted struct, walked by both archives.
+// The overloads live in the archive namespace, where the archives find
+// them by argument-dependent lookup.
+namespace archive {
 
-/// Doubles travel as the 16-hex IEEE-754 bit pattern: decimal round-trips
-/// are not bit-exact, and byte-identical resume hangs on every last bit.
-std::string hexd(double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) out[static_cast<std::size_t>(i)] = hex_digits[(bits >> (4 * (15 - i))) & 0xF];
-  return out;
+template <> struct enum_range<sched::job_state> {
+  static constexpr auto max = sched::job_state::cancelled;
+};
+template <> struct enum_range<obs::cause> {
+  static constexpr auto max = static_cast<obs::cause>(obs::n_causes - 1);
+};
+template <> struct enum_range<plan_tier> {
+  static constexpr auto max = plan_tier::default_clocks;
+};
+template <> struct enum_range<telemetry::metric_snapshot::kind> {
+  static constexpr auto max = telemetry::metric_snapshot::kind::histogram;
+};
+/// Kinds after econ_tick are process-local and never persisted.
+template <> struct enum_range<event_kind> {
+  static constexpr auto max = event_kind::econ_tick;
+};
+
+template <class Ar> void visit(Ar& ar, common::pcg32_state& s) {
+  ar(s.state, s.inc, s.has_spare, s.spare);
 }
-
-double unhexd(const std::string& tok) {
-  if (tok.size() != 16) throw parse_fail("bad double token '" + tok + "'");
-  std::uint64_t bits = 0;
-  for (const char c : tok) {
-    bits <<= 4;
-    if (c >= '0' && c <= '9')
-      bits |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      bits |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else
-      throw parse_fail("bad hex digit in double token '" + tok + "'");
+template <class Ar> void visit(Ar& ar, common::pcg32& rng) {
+  auto s = rng.state();
+  ar(s);
+  if constexpr (Ar::reading) rng.set_state(s);
+}
+template <class Ar> void visit(Ar& ar, common::megahertz& m) { ar(m.value); }
+template <class Ar> void visit(Ar& ar, event& e) { ar(e.t, e.seq, e.kind, e.id); }
+template <class Ar> void visit(Ar& ar, engine_state& s) { ar(s.now, s.next_seq, s.pending); }
+template <class Ar> void visit(Ar& ar, slot_state& s) { ar(s.busy, s.busy_until); }
+template <class Ar> void visit(Ar& ar, gpu_slot& s) { ar(s.node, s.gpu); }
+template <class Ar> void visit(Ar& ar, traced_job& j) {
+  ar(j.id, j.name, j.submit_s, j.n_gpus, j.kernel, j.work_items, j.iterations, j.target,
+     j.deferrable, j.deadline_s);
+}
+template <class Ar> void visit(Ar& ar, queued_job& q) { ar(q.job, q.est_runtime_s); }
+template <class Ar> void visit(Ar& ar, job_result& r) {
+  ar(r.id, r.name, r.kernel, r.target, r.state, r.n_gpus, r.submit_s, r.start_s, r.end_s,
+     r.queue_wait_s, r.gpu_energy_j, r.core_mhz, r.demoted, r.clock_set_failed,
+     r.energy_degraded, r.requeues, r.failure_reason);
+}
+/// Governor fields are absent: governed runs are not checkpointable.
+template <class Ar> void visit(Ar& ar, running_job& j) {
+  ar(j.id, j.epoch, j.gpus, j.job, j.est, j.start_s, j.duration, j.energy_j, j.avg_power_w,
+     j.why, j.node);
+}
+template <class Ar> void visit(Ar& ar, drift_state& d) {
+  ar(d.scale, d.window, d.next, d.window_sum, d.total, d.rejected, d.quarantined, d.reason);
+}
+template <class Ar> void visit(Ar& ar, guard_state& g) {
+  ar(g.generation, g.model_plans, g.table_fallbacks, g.default_fallbacks, g.ood_rejections,
+     g.prediction_rejections, g.quarantine_rejections, g.quarantine_probes, g.drift);
+}
+template <class Ar> void visit(Ar& ar, cached_plan& c) {
+  auto& d = c.decision;
+  ar(c.kernel, c.target, d.config.memory, d.config.core, d.tier, d.ood, d.clamped, d.probe,
+     d.reason);
+}
+template <class Ar> void visit(Ar& ar, obs::ledger_entry& e) {
+  ar(e.key.node, e.key.device, e.key.job, e.key.kernel, e.by_cause, e.total_j);
+}
+template <class Ar> void visit(Ar& ar, obs::scrape_sample& s) {
+  ar(s.t_s, s.by_cause, s.total_j, s.charges);
+}
+template <class Ar> void visit(Ar& ar, obs::ledger_state& l) {
+  ar(l.cells, l.totals, l.total_j, l.charges, l.series);
+}
+template <class Ar> void visit(Ar& ar, obs::alert& a) {
+  ar(a.t_s, a.rule, a.kind_name, a.value, a.threshold, a.detail);
+}
+template <class Ar> void visit(Ar& ar, obs::watchdog_state& w) {
+  ar(w.firing, w.alerts, w.job_energies, w.job_costs, w.job_carbons, w.plans_total,
+     w.plans_model, w.quarantine_since, w.breaker_opens_base);
+}
+template <class Ar> void visit(Ar& ar, telemetry::metric_snapshot& m) {
+  using kind = telemetry::metric_snapshot::kind;
+  ar(m.type, m.name);
+  if (m.type == kind::histogram) {
+    ar(m.count, m.sum, m.min, m.max, m.bounds, m.buckets);
+    ar.check(m.buckets.size() == m.bounds.size() + 1, "histogram bucket count mismatch");
+  } else if (m.type == kind::gauge) {
+    ar(m.value);
+  } else {
+    // Counter totals are integers and travel as such, so a hostile payload
+    // cannot hand the registry a NaN or out-of-range count.
+    auto n = static_cast<std::uint64_t>(m.value);
+    ar(n);
+    m.value = static_cast<double>(n);
   }
-  return std::bit_cast<double>(bits);
+}
+template <class Ar> void visit(Ar& ar, econ::cost_meter::state& s) {
+  ar(s.facility_cost_usd, s.facility_carbon_g, s.capex_usd, s.attributed_cost_usd,
+     s.attributed_carbon_g, s.cost_by_cause, s.carbon_by_cause, s.jobs_completed);
+}
+template <class Ar> void visit(Ar& ar, run_state& s) {
+  ar.section("clock");
+  ar(s.last_integrated_s, s.last_live_t, s.facility_energy_j, s.busy_gpu_seconds,
+     s.peak_power_w, s.wasted_energy_j);
+  ar.section("counts");
+  ar(s.next_epoch, s.clock_set_faults, s.degraded_samples, s.requeues, s.nodes_lost,
+     s.node_crashes, s.node_restarts, s.quarantines, s.promotions, s.rollbacks,
+     s.governor_ticks, s.governor_clock_changes, s.econ_jobs_deferred, s.econ_price_demotions,
+     s.scrape_ticks, s.ckpt_index);
+  ar.section("rng");
+  ar(s.fault_rng, s.chaos_rng);
+  ar.section("slots");
+  ar(s.slots);
+  ar.section("results");
+  ar(s.results);
+  ar.section("queue");
+  ar(s.queue);
+  ar.section("running");
+  ar(s.running);
+  ar.section("econ_deferred");
+  ar(s.econ_deferred_ids);
+}
+/// The whole payload, top to bottom.
+template <class Ar> void visit(Ar& ar, checkpoint_frame& f, run_state& s) {
+  ar.section("synergy_ckpt");
+  ar(f.version);
+  if constexpr (Ar::reading)
+    if (f.version != checkpoint_version)
+      ar.fail("payload schema version " + std::to_string(f.version) +
+              " is not supported (this build reads version " +
+              std::to_string(checkpoint_version) + ")");
+  ar.section("fingerprint");
+  ar(f.fingerprint);
+  ar.section("trace");
+  ar(f.trace_crc);
+  ar.section("events");
+  ar(f.engine);
+  ar.section("nodes");
+  ar(f.nodes);
+  ar.section("budget");
+  ar(f.budget_rebalances, f.budget_demotions);
+  ar(s);
+  ar.section("guard");
+  ar(f.guard);
+  ar.section("service");
+  ar(f.cache);
+  ar.section("ledger");
+  ar(f.ledger);
+  ar.section("watchdog");
+  ar(f.watchdog);
+  ar.section("metrics");
+  ar(f.metrics);
+  ar.section("econ");
+  ar(f.econ);
+  ar.section("end");
 }
 
-/// Strings travel percent-encoded so whitespace tokenization stays trivial:
-/// the empty string encodes as "~"; '~', '%', spaces, and control bytes
-/// escape as %XX (a literal "~" therefore encodes as "%7e" — no ambiguity).
-std::string enc(std::string_view in) {
-  if (in.empty()) return "~";
-  std::string out;
-  out.reserve(in.size());
-  for (const char ch : in) {
-    const auto c = static_cast<unsigned char>(ch);
-    if (c <= 0x20 || c == 0x7F || c == '%' || c == '~') {
-      out += '%';
-      out += hex_digits[c >> 4];
-      out += hex_digits[c & 0xF];
-    } else {
-      out += ch;
+}  // namespace archive
+
+namespace {
+
+/// Why the restored event set cannot continue this run (nullptr when it
+/// can): every event must lie at or after the restored clock, in strictly
+/// increasing sequence order below next_seq, and point at something the run
+/// has — a trace index not yet arrived, a placement epoch already issued,
+/// a node number of the configured inventory. Every running job needs a
+/// pending completion of its own, or the run could never drain; governed
+/// runs are not checkpointable, so no governor tick is valid.
+const char* bad_events(const engine_state& eng, const run_state& s, std::size_t n_jobs,
+                       std::size_t n_nodes) {
+  if (!std::isfinite(eng.now) || eng.now < 0.0) return "clock out of range";
+  std::vector<char> arrival(n_jobs, 0);
+  std::set<std::uint64_t> epochs;
+  std::uint64_t min_seq = 0;
+  for (const auto& e : eng.pending) {
+    if (e.seq < min_seq || e.seq >= eng.next_seq) return "sequence numbers out of order";
+    min_seq = e.seq + 1;
+    if (!std::isfinite(e.t) || e.t < eng.now) return "event time before the restored clock";
+    switch (e.kind) {
+      case event_kind::arrival:
+        if (e.id >= n_jobs) return "arrival index out of range";
+        if (arrival[e.id]++) return "two arrivals for one job";
+        break;
+      case event_kind::completion:
+        if (e.id >= s.next_epoch) return "placement epoch out of range";
+        epochs.insert(e.id);
+        break;
+      case event_kind::governor_tick:
+        return "governor tick in an ungoverned run";
+      case event_kind::device_lost:
+      case event_kind::node_restart:
+        if (e.id >= n_nodes) return "node number out of range";
+        break;
+      default:
+        if (e.id != 0) return "unexpected event id";
+        break;
     }
   }
-  return out;
-}
-
-int unhex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  throw parse_fail("bad percent escape in string token");
-}
-
-std::string dec(const std::string& in) {
-  if (in == "~") return {};
-  std::string out;
-  out.reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    if (in[i] != '%') {
-      out += in[i];
-      continue;
-    }
-    if (i + 2 >= in.size()) throw parse_fail("truncated percent escape");
-    out += static_cast<char>((unhex_nibble(in[i + 1]) << 4) | unhex_nibble(in[i + 2]));
-    i += 2;
-  }
-  return out;
-}
-
-/// Whitespace tokenizer over the payload. Newlines and spaces are equal
-/// separators — the format is fixed-order and tagged, so line structure is
-/// for human eyes only.
-class tokenizer {
- public:
-  explicit tokenizer(std::string_view text) : text_(text) {}
-
-  std::string next() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-    if (pos_ >= text_.size()) throw parse_fail("unexpected end of payload");
-    const std::size_t begin = pos_;
-    while (pos_ < text_.size() && text_[pos_] != ' ' && text_[pos_] != '\n' && text_[pos_] != '\r')
-      ++pos_;
-    return std::string(text_.substr(begin, pos_ - begin));
-  }
-
-  void expect(std::string_view tag) {
-    const std::string got = next();
-    if (got != tag)
-      throw parse_fail("expected section '" + std::string(tag) + "', found '" + got + "'");
-  }
-
-  std::uint64_t u64() {
-    const std::string tok = next();
-    std::uint64_t v = 0;
-    const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    if (ec != std::errc{} || end != tok.data() + tok.size())
-      throw parse_fail("bad integer token '" + tok + "'");
-    return v;
-  }
-
-  std::uint64_t count() {
-    const std::uint64_t v = u64();
-    if (v > max_count) throw parse_fail("collection count " + std::to_string(v) + " out of range");
-    return v;
-  }
-
-  std::int64_t i64() {
-    const std::string tok = next();
-    std::int64_t v = 0;
-    const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    if (ec != std::errc{} || end != tok.data() + tok.size())
-      throw parse_fail("bad integer token '" + tok + "'");
-    return v;
-  }
-
-  double d() { return unhexd(next()); }
-  std::string str() { return dec(next()); }
-
-  bool b01() {
-    const std::uint64_t v = u64();
-    if (v > 1) throw parse_fail("bad boolean token");
-    return v == 1;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_{0};
-};
-
-/// Payload writer: space-separated tokens, newline per record.
-class writer {
- public:
-  writer& tag(std::string_view t) {
-    begin();
-    out_ += t;
-    return *this;
-  }
-  writer& u(std::uint64_t v) { return raw(std::to_string(v)); }
-  writer& i(std::int64_t v) { return raw(std::to_string(v)); }
-  writer& d(double v) { return raw(hexd(v)); }
-  writer& s(std::string_view v) { return raw(enc(v)); }
-  writer& nl() {
-    out_ += '\n';
-    at_line_start_ = true;
-    return *this;
-  }
-  [[nodiscard]] std::string take() { return std::move(out_); }
-
- private:
-  void begin() {
-    if (!at_line_start_) out_ += ' ';
-    at_line_start_ = false;
-  }
-  writer& raw(std::string_view v) {
-    begin();
-    out_ += v;
-    return *this;
-  }
-  std::string out_;
-  bool at_line_start_{true};
-};
-
-void write_rng(writer& w, std::string_view tag, const common::pcg32& rng) {
-  const auto s = rng.state();
-  w.tag(tag).u(s.state).u(s.inc).u(s.has_spare ? 1 : 0).d(s.spare).nl();
-}
-
-common::pcg32_state read_rng(tokenizer& t, std::string_view tag) {
-  t.expect(tag);
-  common::pcg32_state s;
-  s.state = t.u64();
-  s.inc = t.u64();
-  s.has_spare = t.b01();
-  s.spare = t.d();
-  return s;
-}
-
-void write_cause_array(writer& w, const obs::cause_array& a) {
-  for (const double v : a) w.d(v);
-}
-
-obs::cause_array read_cause_array(tokenizer& t) {
-  obs::cause_array a{};
-  for (auto& v : a) v = t.d();
-  return a;
+  for (const auto& rj : s.running)
+    if (!epochs.erase(rj.epoch)) return "running job without a pending completion";
+  return nullptr;
 }
 
 }  // namespace
@@ -301,879 +324,148 @@ std::string simulator::config_fingerprint() const {
   // Everything that shapes replay decisions. A checkpoint refuses to restore
   // into a simulator whose fingerprint differs — resuming under a different
   // policy or fault plan would silently diverge instead of failing loudly.
-  writer w;
-  w.tag("cfg").u(config_.n_nodes).u(config_.gpus_per_node).s(config_.device);
-  w.d(config_.host_power_w).d(config_.facility_cap_w).u(config_.tag_nvgpufreq ? 1 : 0);
-  w.u(config_.faults.seed).d(config_.faults.clock_set_fail_rate);
-  w.d(config_.faults.power_read_dropout_rate).d(config_.faults.device_lost_rate);
-  w.u(config_.faults.max_node_losses == std::numeric_limits<std::size_t>::max()
-          ? 0
-          : config_.faults.max_node_losses + 1);
-  w.d(config_.drift.at_s).d(config_.drift.power_skew).d(config_.drift.freq_exponent);
-  w.u(config_.chaos.seed).d(config_.chaos.mtbf_s).d(config_.chaos.restart_delay_s);
-  w.u(config_.chaos.max_crashes);
-  w.u(config_.governor.enabled ? 1 : 0).d(config_.obs_scrape_interval_s);
-  w.s(policy_->name());
+  const auto& c = config_;
+  archive::writer w;
+  w.section("cfg");
+  w(c.n_nodes, c.gpus_per_node, c.device, c.host_power_w, c.facility_cap_w, c.tag_nvgpufreq);
+  w(c.faults.seed, c.faults.clock_set_fail_rate, c.faults.power_read_dropout_rate,
+    c.faults.device_lost_rate, c.faults.max_node_losses);
+  w(c.drift.at_s, c.drift.power_skew, c.drift.freq_exponent);
+  w(c.chaos.seed, c.chaos.mtbf_s, c.chaos.restart_delay_s, c.chaos.max_crashes);
+  w(c.governor.enabled, c.obs_scrape_interval_s, policy_->name());
   // Econ parameters shape deferral/demotion decisions and every cost figure;
   // the step traces hash via their canonical CSV rendering.
-  w.u(config_.econ.enabled ? 1 : 0).d(config_.econ.capex_usd_per_node_hour);
-  w.d(config_.econ.defer_price_ratio).d(config_.econ.demote_price_ratio);
-  w.u(common::crc32(config_.econ.price.to_csv("price")));
-  w.u(common::crc32(config_.econ.carbon.to_csv("carbon")));
+  w(c.econ.enabled, c.econ.capex_usd_per_node_hour, c.econ.defer_price_ratio,
+    c.econ.demote_price_ratio, common::crc32(c.econ.price.to_csv("price")),
+    common::crc32(c.econ.carbon.to_csv("carbon")));
   return w.take();
 }
 
 // ---------------------------------------------------------------------------
-// simulator: serialize
+// simulator: serialize + restore
 // ---------------------------------------------------------------------------
 
 std::string simulator::serialize_checkpoint() const {
-  for (const auto& rj : running_)
-    if (rj.gov)
-      throw std::logic_error("simulator: cannot checkpoint a governed job");
+  for (const auto& rj : st_.running)
+    if (rj.gov) throw std::logic_error("simulator: cannot checkpoint a governed job");
 
-  writer w;
-  w.tag("synergy_ckpt").u(1).nl();
-  w.tag("fingerprint").u(common::crc32(config_fingerprint())).nl();
-  w.tag("trace").u(trace_crc_).u(results_.size()).nl();
-  w.tag("engine").d(engine_.now()).nl();
-  w.tag("integ").d(last_integrated_s_).d(facility_energy_j_).d(busy_gpu_seconds_);
-  w.d(peak_power_w_).d(wasted_energy_j_).d(last_live_t_).nl();
-  w.tag("counts").u(clock_set_faults_).u(degraded_samples_).u(requeues_).u(nodes_lost_);
-  w.u(node_crashes_).u(node_restarts_).u(quarantines_).u(promotions_).u(rollbacks_);
-  w.u(governor_ticks_).u(governor_clock_changes_).nl();
-  // Budget counters travel as the folded run totals: the resuming process
-  // builds a fresh budget (counters zero) and carries these in the base.
-  w.tag("budget").u(budget_rebalances_base_ + budget_->rebalances());
-  w.u(budget_demotions_base_ + budget_->demotions()).nl();
-  w.tag("epoch").u(next_epoch_).u(next_node_event_id_).nl();
-  write_rng(w, "rng_fault", fault_rng_);
-  write_rng(w, "rng_chaos", chaos_rng_);
-
-  w.tag("nodes").u(ctl_->node_count()).nl();
-  for (std::size_t i = 0; i < ctl_->node_count(); ++i)
-    w.tag("node").s(ctl_->node_at(i).name()).nl();
-
-  w.tag("slots").u(slots_.size()).u(config_.gpus_per_node).nl();
-  for (const auto& row : slots_) {
-    w.tag("srow");
-    for (const auto& s : row) w.u(s.busy ? 1 : 0).d(s.busy_until);
-    w.nl();
-  }
-
-  w.tag("results").u(results_.size()).nl();
-  for (const auto& r : results_) {
-    w.tag("res").i(r.id).s(r.name).s(r.kernel).s(r.target);
-    w.u(static_cast<std::uint64_t>(r.state)).i(r.n_gpus);
-    w.d(r.submit_s).d(r.start_s).d(r.end_s).d(r.queue_wait_s).d(r.gpu_energy_j).d(r.core_mhz);
-    w.u(r.demoted ? 1 : 0).u(r.clock_set_failed ? 1 : 0).u(r.energy_degraded ? 1 : 0);
-    w.i(r.requeues).s(r.failure_reason).nl();
-  }
-
-  const auto write_traced = [&w](const traced_job& j) {
-    w.i(j.id).s(j.name).d(j.submit_s).i(j.n_gpus).s(j.kernel).d(j.work_items).i(j.iterations);
-    w.s(j.target).u(j.deferrable ? 1 : 0).d(j.deadline_s);
-  };
-
-  w.tag("queue").u(queue_.size()).nl();
-  for (const auto& qj : queue_) {
-    w.tag("q");
-    write_traced(qj.job);
-    w.d(qj.est_runtime_s).nl();
-  }
-
-  w.tag("running").u(running_.size()).nl();
-  for (const auto& rj : running_) {
-    w.tag("runj").i(rj.id).u(rj.epoch).u(rj.gpus.size());
-    for (const auto& s : rj.gpus) w.u(s.node).u(s.gpu);
-    write_traced(rj.job);
-    w.d(rj.est).d(rj.start_s).d(rj.duration).d(rj.energy_j).d(rj.avg_power_w);
-    w.u(static_cast<std::uint64_t>(rj.why)).s(rj.node).d(rj.event_t).u(rj.event_seq).nl();
-  }
-
-  w.tag("arrivals").u(arrivals_pending_).nl();
-  for (std::size_t i = 0; i < arrived_.size(); ++i)
-    if (!arrived_[i]) w.tag("arr").u(i).u(arrival_seq_[i]).nl();
-
-  const auto write_pending = [&w](std::string_view sect, std::string_view row, bool with_node,
-                                  const std::vector<pending_node_event>& v) {
-    w.tag(sect).u(v.size()).nl();
-    for (const auto& e : v) {
-      w.tag(row).u(e.id).d(e.t).u(e.seq);
-      if (with_node) w.s(e.node);
-      w.nl();
-    }
-  };
-  write_pending("pfault", "pf", true, pending_faults_);
-  write_pending("pcrash", "pc", false, pending_crashes_);
-  write_pending("prestart", "pr", true, pending_restarts_);
-
-  w.tag("scrape").u(next_scrape_t_ >= 0.0 ? 1 : 0).d(next_scrape_t_).u(next_scrape_seq_);
-  w.u(scrape_ticks_).nl();
-  w.tag("ckpt").u(ckpt_index_).d(next_ckpt_t_).nl();
-
-  w.tag("guard").u(ckpt_.guard ? 1 : 0).nl();
-  if (ckpt_.guard) {
-    const guard_state gs = ckpt_.guard->export_state();
-    w.tag("ggen").u(gs.generation).nl();
-    w.tag("gcounts").u(gs.model_plans).u(gs.table_fallbacks).u(gs.default_fallbacks);
-    w.u(gs.ood_rejections).u(gs.prediction_rejections).u(gs.quarantine_rejections);
-    w.u(gs.quarantine_probes).nl();
-    w.tag("gdrift").u(gs.drift.total).u(gs.drift.rejected).u(gs.drift.quarantined ? 1 : 0);
-    w.u(gs.drift.next).d(gs.drift.window_sum).s(gs.drift.reason).nl();
-    w.tag("gscale").u(gs.drift.scale.size()).nl();
-    for (const auto& [kernel, scale] : gs.drift.scale) w.tag("gs").s(kernel).d(scale).nl();
-    w.tag("gwin").u(gs.drift.window.size()).nl();
-    for (const double v : gs.drift.window) w.tag("gw").d(v).nl();
-  }
-
-  w.tag("service").u(ckpt_.service ? 1 : 0).nl();
-  if (ckpt_.service) {
-    const auto cache = ckpt_.service->export_cache();
-    w.tag("cache").u(cache.size()).nl();
-    for (const auto& e : cache) {
-      w.tag("ce").s(e.kernel).s(e.target);
-      w.d(e.decision.config.memory.value).d(e.decision.config.core.value);
-      w.u(static_cast<std::uint64_t>(e.decision.tier)).u(e.decision.ood ? 1 : 0);
-      w.u(e.decision.clamped ? 1 : 0).u(e.decision.probe ? 1 : 0).s(e.decision.reason).nl();
-    }
-  }
-
-  const obs::ledger_state ls = obs::energy_ledger::instance().export_state();
-  w.tag("ledger").u(ls.cells.size()).nl();
-  for (const auto& cell : ls.cells) {
-    w.tag("lc").s(cell.key.node).s(cell.key.device).s(cell.key.job).s(cell.key.kernel);
-    write_cause_array(w, cell.by_cause);
-    w.d(cell.total_j).nl();
-  }
-  w.tag("ltot");
-  write_cause_array(w, ls.totals);
-  w.d(ls.total_j).u(ls.charges).nl();
-  w.tag("lseries").u(ls.series.size()).nl();
-  for (const auto& sample : ls.series) {
-    w.tag("ls").d(sample.t_s);
-    write_cause_array(w, sample.by_cause);
-    w.d(sample.total_j).u(sample.charges).nl();
-  }
-
-  w.tag("watchdog").u(watchdog_ ? 1 : 0).nl();
-  if (watchdog_) {
-    const obs::watchdog_state ws = watchdog_->export_state();
-    w.tag("wstate").u(ws.firing.size());
-    for (const bool f : ws.firing) w.u(f ? 1 : 0);
-    w.u(ws.plans_total).u(ws.plans_model).d(ws.quarantine_since).u(ws.breaker_opens_base).nl();
-    w.tag("wjobs").u(ws.job_energies.size()).nl();
-    for (const double v : ws.job_energies) w.tag("wj").d(v).nl();
-    w.tag("wcosts").u(ws.job_costs.size()).nl();
-    for (const double v : ws.job_costs) w.tag("wc").d(v).nl();
-    w.tag("wcarbons").u(ws.job_carbons.size()).nl();
-    for (const double v : ws.job_carbons) w.tag("wb").d(v).nl();
-    w.tag("walerts").u(ws.alerts.size()).nl();
-    for (const auto& a : ws.alerts) {
-      w.tag("wa").d(a.t_s).s(a.rule).s(a.kind_name).d(a.value).d(a.threshold).s(a.detail).nl();
-    }
-  }
-
-  const auto metrics = telemetry::metrics_registry::instance().snapshot();
-  w.tag("metrics").u(metrics.size()).nl();
-  for (const auto& m : metrics) {
-    using kind = telemetry::metric_snapshot::kind;
-    switch (m.type) {
-      case kind::counter:
-        // Counter totals are exact in a double far beyond any event count
-        // this simulator produces; serialize the integer form.
-        w.tag("mc").s(m.name).u(static_cast<std::uint64_t>(m.value)).nl();
-        break;
-      case kind::gauge: w.tag("mg").s(m.name).d(m.value).nl(); break;
-      case kind::histogram: {
-        w.tag("mh").s(m.name).u(m.count).d(m.sum).d(m.min).d(m.max);
-        w.u(m.bounds.size());
-        for (const double b : m.bounds) w.d(b);
-        w.u(m.buckets.size());
-        for (const std::uint64_t c : m.buckets) w.u(c);
-        w.nl();
-        break;
-      }
-    }
-  }
-
+  checkpoint_frame f;
+  f.fingerprint = common::crc32(config_fingerprint());
+  f.trace_crc = trace_crc_;
+  f.engine = st_.engine.export_state();
+  std::erase_if(f.engine.pending,
+                [](const event& e) { return e.kind > archive::enum_range<event_kind>::max; });
+  for (std::size_t i = 0; i < ctl_->node_count(); ++i) f.nodes.push_back(node_number(i));
+  f.budget_rebalances = budget_->rebalances();
+  f.budget_demotions = budget_->demotions();
+  if (ckpt_.guard) f.guard = ckpt_.guard->export_state();
+  if (ckpt_.service) f.cache = ckpt_.service->export_cache();
+  f.ledger = obs::energy_ledger::instance().export_state();
+  if (watchdog_) f.watchdog = watchdog_->export_state();
+  f.metrics = telemetry::metrics_registry::instance().snapshot();
   // Econ accumulators travel verbatim (never recomputed) so the resumed
-  // run's cost report is byte-identical; the pending econ tick carries its
-  // original engine sequence number like the scrape tick above.
-  w.tag("econ").u(econ_meter_.active() ? 1 : 0).nl();
-  if (econ_meter_.active()) {
-    const econ::cost_meter::state es = econ_meter_.export_state();
-    w.tag("emeter").d(es.facility_cost_usd).d(es.facility_carbon_g).d(es.capex_usd);
-    w.d(es.attributed_cost_usd).d(es.attributed_carbon_g).u(es.jobs_completed).nl();
-    w.tag("eca");
-    write_cause_array(w, es.cost_by_cause);
-    w.nl();
-    w.tag("ecb");
-    write_cause_array(w, es.carbon_by_cause);
-    w.nl();
-    w.tag("ecounts").u(econ_jobs_deferred_).u(econ_price_demotions_).nl();
-    w.tag("etick").u(next_econ_t_ >= 0.0 ? 1 : 0).d(next_econ_t_).u(next_econ_seq_).nl();
-    w.tag("edef").u(econ_deferred_ids_.size()).nl();
-    for (const int id : econ_deferred_ids_) w.tag("ed").i(id).nl();
-  }
+  // run's cost report is byte-identical.
+  if (st_.econ_meter.active()) f.econ = st_.econ_meter.export_state();
 
-  w.tag("end").nl();
+  archive::writer w;
+  visit(w, f, const_cast<run_state&>(st_));  // the writer only reads
   return w.take();
 }
-
-// ---------------------------------------------------------------------------
-// simulator: restore
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Everything a checkpoint payload parses into. The restore path fills this
-/// completely and cross-validates it before mutating one byte of simulator
-/// state, so a failed restore really does restore nothing.
-struct parsed_checkpoint {
-  std::uint32_t fingerprint{0};
-  std::uint64_t trace_crc{0};
-  std::uint64_t n_jobs{0};
-  double now{0.0};
-  double last_integrated{0.0}, facility_energy{0.0}, busy_gpu_seconds{0.0};
-  double peak_power{0.0}, wasted_energy{0.0}, last_live_t{0.0};
-  std::uint64_t clock_set_faults{0}, degraded{0}, requeues{0}, nodes_lost{0};
-  std::uint64_t node_crashes{0}, node_restarts{0};
-  std::uint64_t quarantines{0}, promotions{0}, rollbacks{0};
-  std::uint64_t governor_ticks{0}, governor_clock_changes{0};
-  std::uint64_t budget_rebalances{0}, budget_demotions{0};
-  std::uint64_t next_epoch{0}, next_node_event_id{0};
-  common::pcg32_state rng_fault, rng_chaos;
-  std::vector<std::string> node_names;
-  std::vector<std::vector<std::pair<bool, double>>> slots;
-  std::vector<job_result> results;
-  std::vector<queued_job> queue;
-  struct running_row {
-    int id{0};
-    std::uint64_t epoch{0};
-    std::vector<gpu_slot> gpus;
-    traced_job job;
-    double est{0.0}, start_s{0.0}, duration{0.0}, energy_j{0.0}, avg_power_w{0.0};
-    obs::cause why{obs::cause::unattributed};
-    std::string node;
-    double event_t{0.0};
-    std::uint64_t event_seq{0};
-  };
-  std::vector<running_row> running;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> arrivals;  ///< (index, seq)
-  struct pending_row {
-    std::uint64_t id{0};
-    double t{0.0};
-    std::uint64_t seq{0};
-    std::string node;
-  };
-  std::vector<pending_row> pfault, pcrash, prestart;
-  bool scrape_pending{false};
-  double scrape_t{-1.0};
-  std::uint64_t scrape_seq{0}, scrape_ticks{0};
-  std::uint64_t ckpt_index{0};
-  double next_ckpt_t{-1.0};
-  bool has_guard{false};
-  guard_state guard;
-  bool has_service{false};
-  std::vector<cached_plan> cache;
-  obs::ledger_state ledger;
-  bool has_watchdog{false};
-  obs::watchdog_state watchdog;
-  std::vector<telemetry::metric_snapshot> metrics;
-  bool has_econ{false};
-  econ::cost_meter::state econ_state;
-  std::uint64_t econ_jobs_deferred{0}, econ_price_demotions{0};
-  bool econ_tick_pending{false};
-  double econ_tick_t{-1.0};
-  std::uint64_t econ_tick_seq{0};
-  std::vector<int> econ_deferred_ids;
-};
-
-traced_job read_traced(tokenizer& t) {
-  traced_job j;
-  j.id = static_cast<int>(t.i64());
-  j.name = t.str();
-  j.submit_s = t.d();
-  j.n_gpus = static_cast<int>(t.i64());
-  j.kernel = t.str();
-  j.work_items = t.d();
-  j.iterations = static_cast<int>(t.i64());
-  j.target = t.str();
-  j.deferrable = t.b01();
-  j.deadline_s = t.d();
-  return j;
-}
-
-parsed_checkpoint parse_checkpoint(const std::string& payload) {
-  tokenizer t{payload};
-  parsed_checkpoint p;
-
-  t.expect("synergy_ckpt");
-  if (t.u64() != 1) throw parse_fail("unknown payload schema version");
-  t.expect("fingerprint");
-  p.fingerprint = static_cast<std::uint32_t>(t.u64());
-  t.expect("trace");
-  p.trace_crc = t.u64();
-  p.n_jobs = t.count();
-  t.expect("engine");
-  p.now = t.d();
-  t.expect("integ");
-  p.last_integrated = t.d();
-  p.facility_energy = t.d();
-  p.busy_gpu_seconds = t.d();
-  p.peak_power = t.d();
-  p.wasted_energy = t.d();
-  p.last_live_t = t.d();
-  t.expect("counts");
-  p.clock_set_faults = t.u64();
-  p.degraded = t.u64();
-  p.requeues = t.u64();
-  p.nodes_lost = t.u64();
-  p.node_crashes = t.u64();
-  p.node_restarts = t.u64();
-  p.quarantines = t.u64();
-  p.promotions = t.u64();
-  p.rollbacks = t.u64();
-  p.governor_ticks = t.u64();
-  p.governor_clock_changes = t.u64();
-  t.expect("budget");
-  p.budget_rebalances = t.u64();
-  p.budget_demotions = t.u64();
-  t.expect("epoch");
-  p.next_epoch = t.u64();
-  p.next_node_event_id = t.u64();
-  p.rng_fault = read_rng(t, "rng_fault");
-  p.rng_chaos = read_rng(t, "rng_chaos");
-
-  t.expect("nodes");
-  const std::uint64_t n_nodes = t.count();
-  p.node_names.reserve(n_nodes);
-  for (std::uint64_t i = 0; i < n_nodes; ++i) {
-    t.expect("node");
-    p.node_names.push_back(t.str());
-  }
-
-  t.expect("slots");
-  const std::uint64_t nrows = t.count();
-  const std::uint64_t ncols = t.count();
-  p.slots.reserve(nrows);
-  for (std::uint64_t r = 0; r < nrows; ++r) {
-    t.expect("srow");
-    std::vector<std::pair<bool, double>> row;
-    row.reserve(ncols);
-    for (std::uint64_t c = 0; c < ncols; ++c) {
-      const bool busy = t.b01();
-      row.emplace_back(busy, t.d());
-    }
-    p.slots.push_back(std::move(row));
-  }
-
-  t.expect("results");
-  const std::uint64_t n_results = t.count();
-  p.results.reserve(n_results);
-  for (std::uint64_t i = 0; i < n_results; ++i) {
-    t.expect("res");
-    job_result r;
-    r.id = static_cast<int>(t.i64());
-    r.name = t.str();
-    r.kernel = t.str();
-    r.target = t.str();
-    const std::uint64_t state = t.u64();
-    if (state > static_cast<std::uint64_t>(sched::job_state::cancelled))
-      throw parse_fail("job state out of range");
-    r.state = static_cast<sched::job_state>(state);
-    r.n_gpus = static_cast<int>(t.i64());
-    r.submit_s = t.d();
-    r.start_s = t.d();
-    r.end_s = t.d();
-    r.queue_wait_s = t.d();
-    r.gpu_energy_j = t.d();
-    r.core_mhz = t.d();
-    r.demoted = t.b01();
-    r.clock_set_failed = t.b01();
-    r.energy_degraded = t.b01();
-    r.requeues = static_cast<int>(t.i64());
-    r.failure_reason = t.str();
-    p.results.push_back(std::move(r));
-  }
-
-  t.expect("queue");
-  const std::uint64_t n_queue = t.count();
-  p.queue.reserve(n_queue);
-  for (std::uint64_t i = 0; i < n_queue; ++i) {
-    t.expect("q");
-    queued_job qj;
-    qj.job = read_traced(t);
-    qj.est_runtime_s = t.d();
-    p.queue.push_back(std::move(qj));
-  }
-
-  t.expect("running");
-  const std::uint64_t n_running = t.count();
-  p.running.reserve(n_running);
-  for (std::uint64_t i = 0; i < n_running; ++i) {
-    t.expect("runj");
-    parsed_checkpoint::running_row rj;
-    rj.id = static_cast<int>(t.i64());
-    rj.epoch = t.u64();
-    const std::uint64_t n_gpus = t.count();
-    rj.gpus.reserve(n_gpus);
-    for (std::uint64_t g = 0; g < n_gpus; ++g) {
-      gpu_slot s;
-      s.node = static_cast<std::size_t>(t.u64());
-      s.gpu = static_cast<std::size_t>(t.u64());
-      rj.gpus.push_back(s);
-    }
-    rj.job = read_traced(t);
-    rj.est = t.d();
-    rj.start_s = t.d();
-    rj.duration = t.d();
-    rj.energy_j = t.d();
-    rj.avg_power_w = t.d();
-    const std::uint64_t why = t.u64();
-    if (why >= obs::n_causes) throw parse_fail("attribution cause out of range");
-    rj.why = static_cast<obs::cause>(why);
-    rj.node = t.str();
-    rj.event_t = t.d();
-    rj.event_seq = t.u64();
-    p.running.push_back(std::move(rj));
-  }
-
-  t.expect("arrivals");
-  const std::uint64_t n_arrivals = t.count();
-  p.arrivals.reserve(n_arrivals);
-  for (std::uint64_t i = 0; i < n_arrivals; ++i) {
-    t.expect("arr");
-    const std::uint64_t index = t.u64();
-    const std::uint64_t seq = t.u64();
-    p.arrivals.emplace_back(index, seq);
-  }
-
-  const auto read_pending = [&t](std::string_view sect, std::string_view row, bool with_node,
-                                 std::vector<parsed_checkpoint::pending_row>& out) {
-    t.expect(sect);
-    const std::uint64_t n = t.count();
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      t.expect(row);
-      parsed_checkpoint::pending_row e;
-      e.id = t.u64();
-      e.t = t.d();
-      e.seq = t.u64();
-      if (with_node) e.node = t.str();
-      out.push_back(std::move(e));
-    }
-  };
-  read_pending("pfault", "pf", true, p.pfault);
-  read_pending("pcrash", "pc", false, p.pcrash);
-  read_pending("prestart", "pr", true, p.prestart);
-
-  t.expect("scrape");
-  p.scrape_pending = t.b01();
-  p.scrape_t = t.d();
-  p.scrape_seq = t.u64();
-  p.scrape_ticks = t.u64();
-  t.expect("ckpt");
-  p.ckpt_index = t.u64();
-  p.next_ckpt_t = t.d();
-
-  t.expect("guard");
-  p.has_guard = t.b01();
-  if (p.has_guard) {
-    t.expect("ggen");
-    p.guard.generation = t.u64();
-    t.expect("gcounts");
-    p.guard.model_plans = t.u64();
-    p.guard.table_fallbacks = t.u64();
-    p.guard.default_fallbacks = t.u64();
-    p.guard.ood_rejections = t.u64();
-    p.guard.prediction_rejections = t.u64();
-    p.guard.quarantine_rejections = t.u64();
-    p.guard.quarantine_probes = t.u64();
-    t.expect("gdrift");
-    p.guard.drift.total = t.u64();
-    p.guard.drift.rejected = t.u64();
-    p.guard.drift.quarantined = t.b01();
-    p.guard.drift.next = t.u64();
-    p.guard.drift.window_sum = t.d();
-    p.guard.drift.reason = t.str();
-    t.expect("gscale");
-    const std::uint64_t n_scale = t.count();
-    for (std::uint64_t i = 0; i < n_scale; ++i) {
-      t.expect("gs");
-      const std::string kernel = t.str();
-      p.guard.drift.scale[kernel] = t.d();
-    }
-    t.expect("gwin");
-    const std::uint64_t n_win = t.count();
-    p.guard.drift.window.reserve(n_win);
-    for (std::uint64_t i = 0; i < n_win; ++i) {
-      t.expect("gw");
-      p.guard.drift.window.push_back(t.d());
-    }
-  }
-
-  t.expect("service");
-  p.has_service = t.b01();
-  if (p.has_service) {
-    t.expect("cache");
-    const std::uint64_t n_cache = t.count();
-    p.cache.reserve(n_cache);
-    for (std::uint64_t i = 0; i < n_cache; ++i) {
-      t.expect("ce");
-      cached_plan e;
-      e.kernel = t.str();
-      e.target = t.str();
-      e.decision.config.memory = common::megahertz{t.d()};
-      e.decision.config.core = common::megahertz{t.d()};
-      const std::uint64_t tier = t.u64();
-      if (tier > static_cast<std::uint64_t>(plan_tier::default_clocks))
-        throw parse_fail("plan tier out of range");
-      e.decision.tier = static_cast<plan_tier>(tier);
-      e.decision.ood = t.b01();
-      e.decision.clamped = t.b01();
-      e.decision.probe = t.b01();
-      e.decision.reason = t.str();
-      p.cache.push_back(std::move(e));
-    }
-  }
-
-  t.expect("ledger");
-  const std::uint64_t n_cells = t.count();
-  p.ledger.cells.reserve(n_cells);
-  for (std::uint64_t i = 0; i < n_cells; ++i) {
-    t.expect("lc");
-    obs::ledger_entry cell;
-    cell.key.node = t.str();
-    cell.key.device = t.str();
-    cell.key.job = t.str();
-    cell.key.kernel = t.str();
-    cell.by_cause = read_cause_array(t);
-    cell.total_j = t.d();
-    p.ledger.cells.push_back(std::move(cell));
-  }
-  t.expect("ltot");
-  p.ledger.totals = read_cause_array(t);
-  p.ledger.total_j = t.d();
-  p.ledger.charges = t.u64();
-  t.expect("lseries");
-  const std::uint64_t n_series = t.count();
-  p.ledger.series.reserve(n_series);
-  for (std::uint64_t i = 0; i < n_series; ++i) {
-    t.expect("ls");
-    obs::scrape_sample sample;
-    sample.t_s = t.d();
-    sample.by_cause = read_cause_array(t);
-    sample.total_j = t.d();
-    sample.charges = t.u64();
-    p.ledger.series.push_back(sample);
-  }
-
-  t.expect("watchdog");
-  p.has_watchdog = t.b01();
-  if (p.has_watchdog) {
-    t.expect("wstate");
-    const std::uint64_t n_rules = t.count();
-    p.watchdog.firing.reserve(n_rules);
-    for (std::uint64_t i = 0; i < n_rules; ++i) p.watchdog.firing.push_back(t.b01());
-    p.watchdog.plans_total = t.u64();
-    p.watchdog.plans_model = t.u64();
-    p.watchdog.quarantine_since = t.d();
-    p.watchdog.breaker_opens_base = t.u64();
-    t.expect("wjobs");
-    const std::uint64_t n_jobs = t.count();
-    p.watchdog.job_energies.reserve(n_jobs);
-    for (std::uint64_t i = 0; i < n_jobs; ++i) {
-      t.expect("wj");
-      p.watchdog.job_energies.push_back(t.d());
-    }
-    t.expect("wcosts");
-    const std::uint64_t n_costs = t.count();
-    p.watchdog.job_costs.reserve(n_costs);
-    for (std::uint64_t i = 0; i < n_costs; ++i) {
-      t.expect("wc");
-      p.watchdog.job_costs.push_back(t.d());
-    }
-    t.expect("wcarbons");
-    const std::uint64_t n_carbons = t.count();
-    p.watchdog.job_carbons.reserve(n_carbons);
-    for (std::uint64_t i = 0; i < n_carbons; ++i) {
-      t.expect("wb");
-      p.watchdog.job_carbons.push_back(t.d());
-    }
-    t.expect("walerts");
-    const std::uint64_t n_alerts = t.count();
-    p.watchdog.alerts.reserve(n_alerts);
-    for (std::uint64_t i = 0; i < n_alerts; ++i) {
-      t.expect("wa");
-      obs::alert a;
-      a.t_s = t.d();
-      a.rule = t.str();
-      a.kind_name = t.str();
-      a.value = t.d();
-      a.threshold = t.d();
-      a.detail = t.str();
-      p.watchdog.alerts.push_back(std::move(a));
-    }
-  }
-
-  t.expect("metrics");
-  const std::uint64_t n_metrics = t.count();
-  p.metrics.reserve(n_metrics);
-  for (std::uint64_t i = 0; i < n_metrics; ++i) {
-    using kind = telemetry::metric_snapshot::kind;
-    telemetry::metric_snapshot m;
-    const std::string row = t.next();
-    if (row == "mc") {
-      m.type = kind::counter;
-      m.name = t.str();
-      m.value = static_cast<double>(t.u64());
-    } else if (row == "mg") {
-      m.type = kind::gauge;
-      m.name = t.str();
-      m.value = t.d();
-    } else if (row == "mh") {
-      m.type = kind::histogram;
-      m.name = t.str();
-      m.count = t.u64();
-      m.sum = t.d();
-      m.min = t.d();
-      m.max = t.d();
-      const std::uint64_t n_bounds = t.count();
-      m.bounds.reserve(n_bounds);
-      for (std::uint64_t b = 0; b < n_bounds; ++b) m.bounds.push_back(t.d());
-      const std::uint64_t n_buckets = t.count();
-      if (n_buckets != n_bounds + 1) throw parse_fail("histogram bucket count mismatch");
-      m.buckets.reserve(n_buckets);
-      for (std::uint64_t b = 0; b < n_buckets; ++b) m.buckets.push_back(t.u64());
-    } else {
-      throw parse_fail("unknown metric row '" + row + "'");
-    }
-    p.metrics.push_back(std::move(m));
-  }
-
-  t.expect("econ");
-  p.has_econ = t.b01();
-  if (p.has_econ) {
-    t.expect("emeter");
-    p.econ_state.facility_cost_usd = t.d();
-    p.econ_state.facility_carbon_g = t.d();
-    p.econ_state.capex_usd = t.d();
-    p.econ_state.attributed_cost_usd = t.d();
-    p.econ_state.attributed_carbon_g = t.d();
-    p.econ_state.jobs_completed = t.u64();
-    t.expect("eca");
-    p.econ_state.cost_by_cause = read_cause_array(t);
-    t.expect("ecb");
-    p.econ_state.carbon_by_cause = read_cause_array(t);
-    t.expect("ecounts");
-    p.econ_jobs_deferred = t.u64();
-    p.econ_price_demotions = t.u64();
-    t.expect("etick");
-    p.econ_tick_pending = t.b01();
-    p.econ_tick_t = t.d();
-    p.econ_tick_seq = t.u64();
-    t.expect("edef");
-    const std::uint64_t n_deferred = t.count();
-    p.econ_deferred_ids.reserve(n_deferred);
-    for (std::uint64_t i = 0; i < n_deferred; ++i) {
-      t.expect("ed");
-      p.econ_deferred_ids.push_back(static_cast<int>(t.i64()));
-    }
-  }
-
-  t.expect("end");
-  return p;
-}
-
-}  // namespace
 
 common::status simulator::restore_checkpoint(const std::string& payload,
                                              const job_trace& trace) {
   if (!ckpt_enabled_)
     return error{errc::invalid_argument,
                  "restore: call set_checkpointing() before restore_checkpoint()"};
-  parsed_checkpoint p;
+  const auto reject = [](const std::string& what) {
+    return error{errc::invalid_argument, "restore: " + what};
+  };
+
+  // Read into fresh objects; nothing below touches the simulator until every
+  // check has passed, so a failed restore really does restore nothing.
+  checkpoint_frame f;
+  run_state s = fresh_state();
   try {
-    p = parse_checkpoint(payload);
+    archive::reader r{payload};
+    visit(r, f, s);
+    r.finish();
   } catch (const std::exception& e) {
-    return error{errc::invalid_argument, std::string("restore: malformed checkpoint: ") + e.what()};
+    return reject(std::string("malformed checkpoint: ") + e.what());
   }
 
-  // --- cross-validation: everything checks out before anything mutates ---
-  if (p.fingerprint != common::crc32(config_fingerprint()))
-    return error{errc::invalid_argument,
-                 "restore: config fingerprint mismatch (different cluster/policy/fault setup)"};
-  if (p.trace_crc != common::crc32(trace.to_csv()) || p.n_jobs != trace.jobs.size())
-    return error{errc::invalid_argument,
-                 "restore: trace mismatch (checkpoint was taken replaying a different trace)"};
-  if (p.has_guard != (ckpt_.guard != nullptr) || p.has_service != (ckpt_.service != nullptr))
-    return error{errc::invalid_argument,
-                 "restore: planner guard/service presence differs from the exporting run"};
-  if (p.has_watchdog != (watchdog_ != nullptr))
-    return error{errc::invalid_argument,
-                 "restore: watchdog presence differs from the exporting run"};
-  if (p.node_names.empty() || p.slots.size() != p.node_names.size())
-    return error{errc::invalid_argument, "restore: node/slot tables inconsistent"};
-  for (const auto& row : p.slots)
-    if (row.size() != config_.gpus_per_node)
-      return error{errc::invalid_argument, "restore: GPU slot row width mismatch"};
-  if (p.results.size() != trace.jobs.size())
-    return error{errc::invalid_argument, "restore: per-job result count mismatch"};
-  for (std::size_t i = 0; i < p.results.size(); ++i)
-    if (p.results[i].id != trace.jobs[i].id)
-      return error{errc::invalid_argument, "restore: job id order mismatch"};
-  for (const auto& rj : p.running) {
-    if (rj.epoch >= p.next_epoch)
-      return error{errc::invalid_argument, "restore: running-job epoch out of range"};
-    for (const auto& s : rj.gpus)
-      if (s.node >= p.slots.size() || s.gpu >= config_.gpus_per_node)
-        return error{errc::invalid_argument, "restore: running-job GPU slot out of range"};
+  if (f.fingerprint != common::crc32(config_fingerprint()))
+    return reject("config fingerprint mismatch (different cluster/policy/fault setup)");
+  if (f.trace_crc != common::crc32(trace.to_csv()))
+    return reject("trace mismatch (checkpoint was taken replaying a different trace)");
+  if (f.guard.has_value() != (ckpt_.guard != nullptr) ||
+      f.cache.has_value() != (ckpt_.service != nullptr))
+    return reject("planner guard/service presence differs from the exporting run");
+  if (f.watchdog.has_value() != (watchdog_ != nullptr))
+    return reject("watchdog presence differs from the exporting run");
+  if (f.econ.has_value() != s.econ_meter.active())
+    return reject("econ accounting presence differs from the exporting run");
+  const std::set<std::size_t> distinct(f.nodes.begin(), f.nodes.end());
+  if (f.nodes.empty() || s.slots.size() != f.nodes.size() || distinct.size() != f.nodes.size() ||
+      *distinct.rbegin() >= config_.n_nodes)
+    return reject("node/slot tables inconsistent");
+  for (const auto& row : s.slots)
+    if (row.size() != config_.gpus_per_node) return reject("GPU slot row width mismatch");
+  if (s.results.size() != trace.jobs.size()) return reject("per-job result count mismatch");
+  for (std::size_t i = 0; i < s.results.size(); ++i)
+    if (s.results[i].id != trace.jobs[i].id) return reject("job id order mismatch");
+  std::set<int> ids;
+  for (const auto& job : trace.jobs) ids.insert(job.id);
+  for (const auto& qj : s.queue)
+    if (!ids.contains(qj.job.id)) return reject("queued job id not in the trace");
+  for (const auto& rj : s.running) {
+    if (!ids.contains(rj.id)) return reject("running job id not in the trace");
+    if (rj.epoch >= s.next_epoch) return reject("running-job epoch out of range");
+    for (const auto& g : rj.gpus)
+      if (g.node >= s.slots.size() || g.gpu >= config_.gpus_per_node)
+        return reject("running-job GPU slot out of range");
   }
-  for (const auto& [index, seq] : p.arrivals) {
-    (void)seq;
-    if (index >= trace.jobs.size())
-      return error{errc::invalid_argument, "restore: pending arrival index out of range"};
-  }
-  if (p.has_econ != config_.econ.usable())
-    return error{errc::invalid_argument,
-                 "restore: econ accounting presence differs from the exporting run"};
-  for (const int id : p.econ_deferred_ids) {
-    bool queued = false;
-    for (const auto& qj : p.queue)
-      if (qj.job.id == id) {
-        queued = true;
-        break;
-      }
-    if (!queued)
-      return error{errc::invalid_argument,
-                   "restore: econ-deferred job id not present in the queue"};
-  }
+  for (const int id : s.econ_deferred_ids)
+    if (std::none_of(s.queue.begin(), s.queue.end(),
+                     [id](const queued_job& qj) { return qj.job.id == id; }))
+      return reject("econ-deferred job id not present in the queue");
+  if (const char* why = bad_events(f.engine, s, trace.jobs.size(), config_.n_nodes))
+    return reject(std::string("events: ") + why);
 
   // --- external subsystem imports (each is individually atomic) ---
-  if (!telemetry::metrics_registry::instance().restore(p.metrics))
-    return error{errc::invalid_argument, "restore: metrics registry shape mismatch"};
-  if (ckpt_.guard && !ckpt_.guard->import_state(p.guard))
-    return error{errc::invalid_argument,
-                 "restore: guard/drift state inconsistent with this guard's options"};
-  if (watchdog_ && !watchdog_->import_state(p.watchdog))
-    return error{errc::invalid_argument,
-                 "restore: watchdog rule count differs from the exporting run"};
-  obs::energy_ledger::instance().import_state(p.ledger);
+  if (!telemetry::metrics_registry::instance().restore(f.metrics))
+    return reject("metrics registry shape mismatch");
+  if (ckpt_.guard && !ckpt_.guard->import_state(*f.guard))
+    return reject("guard/drift state inconsistent with this guard's options");
+  if (watchdog_ && !watchdog_->import_state(*f.watchdog))
+    return reject("watchdog rule count differs from the exporting run");
+  obs::energy_ledger::instance().import_state(f.ledger);
+  if (ckpt_.service) ckpt_.service->import_cache(*f.cache);
 
-  // --- simulator state proper (cannot fail past this point) ---
-  engine_ = event_engine{};
-  engine_.run_until(p.now);  // empty queue: clock restore only
-
+  // --- commit (cannot fail past this point) ---
   std::vector<sched::node_config> nodes;
-  nodes.reserve(p.node_names.size());
-  for (const auto& name : p.node_names) nodes.push_back(make_node_config(name));
+  for (const std::size_t number : f.nodes) nodes.push_back(make_node_config(number));
   ctl_ = std::make_unique<sched::controller>(std::move(nodes));
-
-  slots_.assign(p.slots.size(), std::vector<slot_state>(config_.gpus_per_node));
-  for (std::size_t n = 0; n < p.slots.size(); ++n)
-    for (std::size_t g = 0; g < config_.gpus_per_node; ++g)
-      slots_[n][g] = {p.slots[n][g].first, p.slots[n][g].second};
-
-  results_ = std::move(p.results);
-  queue_ = std::move(p.queue);
-  running_.clear();
-  running_.reserve(p.running.size());
-  for (auto& rr : p.running) {
-    running_job rj;
-    rj.id = rr.id;
-    rj.epoch = rr.epoch;
-    rj.gpus = std::move(rr.gpus);
-    rj.job = std::move(rr.job);
-    rj.est = rr.est;
-    rj.start_s = rr.start_s;
-    rj.duration = rr.duration;
-    rj.energy_j = rr.energy_j;
-    rj.avg_power_w = rr.avg_power_w;
-    rj.why = rr.why;
-    rj.node = std::move(rr.node);
-    rj.event_t = rr.event_t;
-    rj.event_seq = rr.event_seq;
-    running_.push_back(std::move(rj));
-  }
-
   // Fresh budget over the restored inventory; running jobs re-register their
-  // demand and node occupancy. No restore-time rebalance — the folded totals
-  // carry the exporting run's counters, and a gratuitous rebalance here
-  // would put the resumed summary one count ahead.
-  budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
-  for (const auto& rj : running_) {
+  // demand and node occupancy. No restore-time rebalance — the counters
+  // carry the exporting run's totals, and a gratuitous rebalance here would
+  // put the resumed summary one count ahead.
+  budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w, f.budget_rebalances,
+                                           f.budget_demotions);
+  for (const auto& rj : s.running) {
     std::set<std::size_t> nodes_used;
-    for (const auto& s : rj.gpus) {
-      budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
-      nodes_used.insert(s.node);
+    for (const auto& g : rj.gpus) {
+      budget_->gpu_busy(g.node, g.gpu, rj.avg_power_w);
+      nodes_used.insert(g.node);
     }
     for (const std::size_t n : nodes_used) ctl_->node_at(n).add_job();
   }
-  budget_rebalances_base_ = p.budget_rebalances;
-  budget_demotions_base_ = p.budget_demotions;
-
-  last_integrated_s_ = p.last_integrated;
-  facility_energy_j_ = p.facility_energy;
-  busy_gpu_seconds_ = p.busy_gpu_seconds;
-  peak_power_w_ = p.peak_power;
-  wasted_energy_j_ = p.wasted_energy;
-  last_live_t_ = p.last_live_t;
-  power_samples_.clear();  // diagnostics only; not part of any output artefact
-  clock_set_faults_ = p.clock_set_faults;
-  degraded_samples_ = p.degraded;
-  requeues_ = p.requeues;
-  nodes_lost_ = p.nodes_lost;
-  node_crashes_ = p.node_crashes;
-  node_restarts_ = p.node_restarts;
-  quarantines_ = p.quarantines;
-  promotions_ = p.promotions;
-  rollbacks_ = p.rollbacks;
-  governor_ticks_ = p.governor_ticks;
-  governor_clock_changes_ = p.governor_clock_changes;
-  next_epoch_ = p.next_epoch;
-  next_node_event_id_ = p.next_node_event_id;
-  fault_rng_.set_state(p.rng_fault);
-  chaos_rng_.set_state(p.rng_chaos);
-  recovery_was_quarantined_ = false;
-
-  arrival_seq_.assign(trace.jobs.size(), 0);
-  arrived_.assign(trace.jobs.size(), 1);
-  for (const auto& [index, seq] : p.arrivals) {
-    arrived_[index] = 0;
-    arrival_seq_[index] = seq;
-  }
-  arrivals_pending_ = p.arrivals.size();
-
-  const auto to_pending = [](std::vector<parsed_checkpoint::pending_row>&& in) {
-    std::vector<pending_node_event> out;
-    out.reserve(in.size());
-    for (auto& e : in) out.push_back({e.id, e.t, e.seq, std::move(e.node)});
-    return out;
-  };
-  pending_faults_ = to_pending(std::move(p.pfault));
-  pending_crashes_ = to_pending(std::move(p.pcrash));
-  pending_restarts_ = to_pending(std::move(p.prestart));
-
-  next_scrape_t_ = p.scrape_pending ? p.scrape_t : -1.0;
-  next_scrape_seq_ = p.scrape_seq;
-  scrape_ticks_ = p.scrape_ticks;
-  ckpt_index_ = p.ckpt_index;
-  next_ckpt_t_ = p.next_ckpt_t;
-  trace_crc_ = p.trace_crc;
-
-  econ_meter_ = econ::cost_meter{config_.econ, config_.n_nodes};
-  if (p.has_econ) econ_meter_.import_state(p.econ_state);
-  econ_deferred_ids_.clear();
-  econ_deferred_ids_.insert(p.econ_deferred_ids.begin(), p.econ_deferred_ids.end());
-  econ_jobs_deferred_ = p.econ_jobs_deferred;
-  econ_price_demotions_ = p.econ_price_demotions;
-  next_econ_t_ = p.econ_tick_pending ? p.econ_tick_t : -1.0;
-  next_econ_seq_ = p.econ_tick_seq;
-
-  if (ckpt_.service) ckpt_.service->import_cache(p.cache);
-
+  if (f.econ) s.econ_meter.import_state(*f.econ);
+  s.live_events = static_cast<std::size_t>(std::count_if(
+      f.engine.pending.begin(), f.engine.pending.end(),
+      [](const event& e) { return is_live(e.kind); }));
+  s.engine.import_state(std::move(f.engine));
+  st_ = std::move(s);
+  trace_crc_ = f.trace_crc;
   restored_ = true;
   return common::status::success();
 }
@@ -1186,106 +478,34 @@ run_summary simulator::resume(const job_trace& trace) {
   if (!restored_)
     throw std::logic_error("simulator::resume without a successful restore_checkpoint");
   restored_ = false;
-
-  // Rebuild the event queue. Closures do not serialize, so each pending
-  // event was recorded in a registry with the sequence number it held in the
-  // exporting engine. Sequence numbers are monotone in schedule time, so
-  // every event scheduled *after* the checkpoint outranks every pending one
-  // — rescheduling the pending set in ascending original-seq order into a
-  // fresh engine reproduces all tie-break orderings exactly.
-  enum class ev_kind { arrival, completion, fault, crash, restart, scrape, econ };
-  struct ev {
-    std::uint64_t old_seq{0};
-    ev_kind kind{ev_kind::arrival};
-    std::size_t index{0};  ///< arrival trace index / running_ or registry index
-  };
-  std::vector<ev> events;
-  for (std::size_t i = 0; i < arrived_.size(); ++i)
-    if (!arrived_[i]) events.push_back({arrival_seq_[i], ev_kind::arrival, i});
-  for (std::size_t i = 0; i < running_.size(); ++i)
-    events.push_back({running_[i].event_seq, ev_kind::completion, i});
-  for (std::size_t i = 0; i < pending_faults_.size(); ++i)
-    events.push_back({pending_faults_[i].seq, ev_kind::fault, i});
-  for (std::size_t i = 0; i < pending_crashes_.size(); ++i)
-    events.push_back({pending_crashes_[i].seq, ev_kind::crash, i});
-  for (std::size_t i = 0; i < pending_restarts_.size(); ++i)
-    events.push_back({pending_restarts_[i].seq, ev_kind::restart, i});
-  if (next_scrape_t_ >= 0.0) events.push_back({next_scrape_seq_, ev_kind::scrape, 0});
-  if (next_econ_t_ >= 0.0) events.push_back({next_econ_seq_, ev_kind::econ, 0});
-  std::sort(events.begin(), events.end(),
-            [](const ev& a, const ev& b) { return a.old_seq < b.old_seq; });
-
-  for (const auto& e : events) {
-    switch (e.kind) {
-      case ev_kind::arrival:
-        schedule_arrival(trace, e.index, trace.jobs[e.index].submit_s);
-        break;
-      case ev_kind::completion: {
-        auto& rj = running_[e.index];
-        const int id = rj.id;
-        const std::uint64_t epoch = rj.epoch;
-        rj.event_seq = engine_.at(rj.event_t, [this, id, epoch] { complete(id, epoch); });
-        break;
-      }
-      case ev_kind::fault: {
-        auto& pe = pending_faults_[e.index];
-        const std::uint64_t eid = pe.id;
-        pe.seq = engine_.at(pe.t, [this, eid] { device_lost_event(eid); });
-        break;
-      }
-      case ev_kind::crash: {
-        auto& pe = pending_crashes_[e.index];
-        const std::uint64_t eid = pe.id;
-        pe.seq = engine_.at(pe.t, [this, eid] { node_crash(eid); });
-        break;
-      }
-      case ev_kind::restart: {
-        auto& pe = pending_restarts_[e.index];
-        const std::uint64_t eid = pe.id;
-        pe.seq = engine_.at(pe.t, [this, eid] { node_restart(eid); });
-        break;
-      }
-      case ev_kind::scrape:
-        next_scrape_seq_ = engine_.at(next_scrape_t_, [this] { scrape_tick(); });
-        break;
-      case ev_kind::econ:
-        next_econ_seq_ = engine_.at(next_econ_t_, [this] { econ_tick(); });
-        break;
-    }
-  }
-
-  // Periodic checkpointing continues on the exporting run's cadence. The
-  // tick is inert (no accounting), so its tie-break rank among co-timed
-  // events does not need restoring.
-  if (ckpt_.interval_s > 0.0 && next_ckpt_t_ >= 0.0)
-    engine_.at(next_ckpt_t_, [this] { checkpoint_tick(); });
-  if (ckpt_.crash_at_s >= 0.0 && ckpt_.crash_at_s > engine_.now())
-    engine_.at(ckpt_.crash_at_s, [] {
-      std::fflush(nullptr);
-      std::_Exit(crash_injection_exit_code);
-    });
-
+  trace_ = &trace;
+  // The restored events already sit in the engine with their original
+  // sequence numbers. Only the process-local events re-arm, from this
+  // simulator's options: the checkpoint cadence (the artefact was written
+  // by a tick at the restored clock) and a crash injection still ahead.
+  if (ckpt_.interval_s > 0.0 && has_live_work())
+    schedule(now() + ckpt_.interval_s, event_kind::checkpoint_tick);
+  if (ckpt_.crash_at_s >= 0.0 && ckpt_.crash_at_s > now())
+    schedule(ckpt_.crash_at_s, event_kind::crash_injection);
   return finish_run(trace);
 }
 
 void simulator::checkpoint_tick() {
-  // Decide the next tick *before* serializing so the artefact carries the
-  // resumed run's cadence. The tick itself is inert: no integrate, no power
-  // sample — a checkpointed run's accounting spans are identical to an
-  // uncheckpointed one's.
+  // Decide the next tick *before* serializing, as resume() will. The tick
+  // itself is inert: no integrate, no power sample — a checkpointed run's
+  // accounting spans are identical to an uncheckpointed one's.
   const bool more = has_live_work();
-  next_ckpt_t_ = more ? engine_.now() + ckpt_.interval_s : -1.0;
-  ++ckpt_index_;
+  ++st_.ckpt_index;
 
   const std::string payload = serialize_checkpoint();
-  const fs::path file = ckpt_.dir / checkpoint_file_name(ckpt_index_ - 1);
+  const fs::path file = ckpt_.dir / checkpoint_file_name(st_.ckpt_index - 1);
   if (const auto st = write_checkpoint_file(file, payload); !st.ok()) {
     // Warn-and-continue: a full disk must not kill the replay it exists to
     // protect; the previous checkpoint (atomic rename) is still intact.
     common::log_warn("cluster: checkpoint write failed: ", st.err().to_string());
   }
 
-  if (more) engine_.at(next_ckpt_t_, [this] { checkpoint_tick(); });
+  if (more) schedule(now() + ckpt_.interval_s, event_kind::checkpoint_tick);
 }
 
 }  // namespace synergy::cluster

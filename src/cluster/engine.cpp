@@ -1,41 +1,21 @@
 #include "synergy/cluster/engine.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace synergy::cluster {
 
-std::uint64_t event_engine::at(double t, handler fn) {
-  const std::uint64_t seq = next_seq_++;
-  queue_.push(event{std::max(t, now_), seq, std::move(fn)});
-  return seq;
+engine_state event_engine::export_state() const {
+  engine_state s{now_, next_seq_, heap_};
+  std::sort(s.pending.begin(), s.pending.end(),
+            [](const event& a, const event& b) { return a.seq < b.seq; });
+  return s;
 }
 
-std::size_t event_engine::run() {
-  std::size_t fired = 0;
-  while (!queue_.empty()) {
-    // Move the handler out before popping: the handler may push new events,
-    // and priority_queue::top() is invalidated by push.
-    event e = std::move(const_cast<event&>(queue_.top()));
-    queue_.pop();
-    now_ = e.t;
-    ++fired;
-    e.fn();
-  }
-  return fired;
-}
-
-std::size_t event_engine::run_until(double t) {
-  std::size_t fired = 0;
-  while (!queue_.empty() && queue_.top().t <= t) {
-    event e = std::move(const_cast<event&>(queue_.top()));
-    queue_.pop();
-    now_ = e.t;
-    ++fired;
-    e.fn();
-  }
-  now_ = std::max(now_, t);
-  return fired;
+void event_engine::import_state(engine_state s) {
+  now_ = s.now;
+  next_seq_ = s.next_seq;
+  heap_ = std::move(s.pending);
+  std::make_heap(heap_.begin(), heap_.end(), later{});
 }
 
 }  // namespace synergy::cluster

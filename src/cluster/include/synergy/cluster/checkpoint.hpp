@@ -6,26 +6,33 @@
 /// A month of Marconi-100-scale traffic is hours of wall clock; without
 /// checkpoints any crash, OOM-kill, or preemption throws the whole replay
 /// away. The simulator therefore serializes its *complete* state on a
-/// periodic virtual-time cadence: the pending event queue (rebuilt from
-/// explicit registries — closures cannot serialize), per-node/per-slot
-/// state, per-job results, the power-budget counters, both RNG streams
-/// mid-draw, the drift/quarantine and plan-cache state of the guard chain,
-/// the obs energy ledger, the SLO watchdog, and the metrics registry.
+/// periodic virtual-time cadence: the pending event heap (typed records,
+/// written with their original sequence numbers), the simulator's run_state
+/// (per-node/per-slot state, per-job results, queue, running jobs,
+/// accumulators, both RNG streams mid-draw), the power-budget counters, the
+/// drift/quarantine and plan-cache state of the guard chain, the obs energy
+/// ledger, the SLO watchdog, the metrics registry and the econ meter. The
+/// checkpoint tick and the crash-injection event are process-local and
+/// never written; resume() re-arms them from checkpoint_options.
 ///
-/// Artefacts ride the repository's sealed persistence stack: the payload is
-/// wrapped by common::envelope (format magic + version + CRC-32 over the
-/// payload) and written with common::atomic_write_file, so a torn write
-/// leaves the previous checkpoint intact and any corruption is detected at
-/// open time. Loads are fail-closed: a checkpoint that does not parse and
-/// cross-validate completely (config fingerprint, trace CRC, structural
-/// consistency) restores nothing.
+/// The payload schema (version 2) is one `visit(Archive&, T&)` per persisted
+/// struct, walked by a writer and a reader archive, so the two directions
+/// share a single field list. Artefacts ride the repository's sealed
+/// persistence stack: the payload is wrapped by common::envelope (format
+/// magic + version + CRC-32 over the payload) and written with
+/// common::atomic_write_file, so a torn write leaves the previous checkpoint
+/// intact and any corruption is detected at open time. Loads are
+/// fail-closed: a checkpoint that does not parse and cross-validate
+/// completely (config fingerprint, trace CRC, structural consistency, every
+/// pending event) restores nothing; a version-1 payload is rejected with a
+/// diagnostic naming its version.
 ///
 /// Determinism contract: resuming from any checkpoint of a run produces
 /// byte-identical final outputs (summary CSV, per-job table, obs JSON
 /// snapshot, alerts JSONL) to the uninterrupted run of the same seed.
-/// Floating-point state round-trips as IEEE-754 bit patterns, and pending
-/// events are rescheduled in their original tie-break order (sequence
-/// numbers are monotone in schedule time, so relative order is sufficient).
+/// Floating-point state round-trips as IEEE-754 bit patterns, and restored
+/// events keep their sequence numbers, so every tie-break is the exporting
+/// run's.
 
 #include <cstdint>
 #include <filesystem>
@@ -44,8 +51,9 @@ namespace synergy::cluster {
 
 /// Envelope kind sealing every checkpoint artefact.
 inline constexpr std::string_view checkpoint_kind = "cluster_checkpoint";
-/// Payload schema version (envelope-enforced upper bound on open).
-inline constexpr unsigned checkpoint_version = 1;
+/// Payload schema version: the envelope's upper bound on open, and the
+/// only version the payload reader accepts.
+inline constexpr unsigned checkpoint_version = 2;
 /// Exit code of the crash-injection harness (checkpoint_options::crash_at_s)
 /// — distinct from the tool's operational (1) and usage (2) failures so the
 /// workflow fixture can tell an injected crash from a real one.

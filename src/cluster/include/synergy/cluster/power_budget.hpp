@@ -28,8 +28,11 @@ namespace synergy::cluster {
 class power_budget {
  public:
   /// `facility_cap_w` covers hosts + GPUs across every node; <= 0 disables
-  /// capping (admission always passes, no rebalances).
-  power_budget(sched::controller& ctl, double facility_cap_w);
+  /// capping (admission always passes, no rebalances). The counters start
+  /// from `rebalances`/`demotions`, so a budget rebuilt over a changed
+  /// inventory (or restored from a checkpoint) continues the run's totals.
+  power_budget(sched::controller& ctl, double facility_cap_w, std::size_t rebalances = 0,
+               std::size_t demotions = 0);
 
   [[nodiscard]] bool capped() const { return cap_w_ > 0.0; }
   [[nodiscard]] double cap_w() const { return cap_w_; }
@@ -66,8 +69,8 @@ class power_budget {
   sched::power_manager pm_;
   /// Modelled per-GPU draw, indexed [node][gpu]; idle floor when no job.
   std::vector<std::vector<double>> gpu_power_w_;
-  std::size_t rebalances_{0};
-  std::size_t demotions_{0};
+  std::size_t rebalances_;
+  std::size_t demotions_;
 };
 
 }  // namespace synergy::cluster

@@ -18,11 +18,13 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <iosfwd>
 #include <limits>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "synergy/cluster/checkpoint.hpp"
@@ -251,21 +253,113 @@ struct run_summary {
   void csv(std::ostream& os, bool with_header = true) const;
 };
 
+/// One GPU's occupancy on the simulation timeline.
+struct slot_state {
+  bool busy{false};
+  double busy_until{0.0};
+};
+
+/// A placed job, from start to completion or requeue.
+struct running_job {
+  int id{0};
+  /// Placement generation, unique per start: the id of the job's pending
+  /// completion (or governor tick) event. A requeued job's stale event no
+  /// longer matches any running job and fires as a no-op.
+  std::uint64_t epoch{0};
+  std::vector<gpu_slot> gpus;
+  traced_job job;           ///< original submission, for requeueing
+  double est{0.0};          ///< default-clock runtime estimate (queue entry)
+  double start_s{0.0};
+  double duration{0.0};
+  double energy_j{0.0};     ///< total pre-charged GPU energy (0 when governed)
+  double avg_power_w{0.0};  ///< per-GPU busy power (budget re-registration)
+  obs::cause why{obs::cause::unattributed};  ///< attribution of this job's joules
+  std::string node;         ///< primary node name (multi-node gangs charge here)
+  // --- reactive-governor state (null/zero on ungoverned jobs; governed
+  // runs are not checkpointable). Governed jobs are not pre-charged: energy
+  // accrues segment by segment at each tick, split into the seed-attributed
+  // and governor-attributed buckets.
+  std::shared_ptr<governor::governor> gov;  ///< shared: running_job is copied
+  common::megahertz seed_clock{0.0};  ///< clock the planner/default seeded
+  bool deviated{false};          ///< governor has left the seeded clock
+  double seed_energy_j{0.0};     ///< accrued before the first deviation
+  double gov_energy_j{0.0};      ///< accrued after it (cause::governor)
+  double frac_done{0.0};         ///< fraction of the job's work completed
+  double last_tick_s{0.0};       ///< start of the open accrual segment
+  double cur_power_w{0.0};       ///< per-GPU watts at the current clock (drifted)
+  double cur_base_power_w{0.0};  ///< same, pre-drift (model's belief)
+  double cur_duration_full{0.0};  ///< whole-job seconds at the current clock
+  double cur_util{0.0};          ///< modelled compute utilisation at it
+  double target_w{0.0};          ///< hybrid watt target (predicted power)
+};
+
+/// Everything one replay mutates. run() resets it by assignment; a
+/// checkpoint carries it whole: checkpoint.cpp's visit() lists the
+/// persisted fields, the engine and the econ meter travel as their exported
+/// states, and the fields after "not persisted" are rebuilt on restore.
+struct run_state {
+  event_engine engine;
+  std::vector<std::vector<slot_state>> slots;  ///< [node][gpu], aligned with the controller
+  std::vector<queued_job> queue;
+  std::vector<job_result> results;
+  std::vector<running_job> running;
+  double last_integrated_s{0.0};
+  /// Virtual time of the newest accounting-relevant event. finish_run()
+  /// closes integration and the final scrape here rather than at
+  /// engine.now(): a trailing (inert) checkpoint tick or stale completion
+  /// may outlive all live work, and the contract is byte-identical output
+  /// with checkpointing on or off.
+  double last_live_t{0.0};
+  double facility_energy_j{0.0};
+  double busy_gpu_seconds{0.0};
+  double peak_power_w{0.0};
+  double wasted_energy_j{0.0};
+  common::pcg32 fault_rng{0};
+  common::pcg32 chaos_rng{0};
+  std::uint64_t next_epoch{0};
+  std::size_t clock_set_faults{0};
+  std::size_t degraded_samples{0};
+  std::size_t requeues{0};
+  std::size_t nodes_lost{0};
+  std::size_t node_crashes{0};
+  std::size_t node_restarts{0};
+  std::size_t quarantines{0};
+  std::size_t promotions{0};
+  std::size_t rollbacks{0};
+  std::size_t governor_ticks{0};
+  std::size_t governor_clock_changes{0};
+  std::size_t econ_jobs_deferred{0};
+  std::size_t econ_price_demotions{0};
+  /// Jobs a defer() verdict is currently holding in the queue — their
+  /// eventual start attributes to cause::econ_deferred.
+  std::set<int> econ_deferred_ids;
+  std::uint64_t scrape_ticks{0};
+  std::uint64_t ckpt_index{0};  ///< checkpoint files written so far
+  econ::cost_meter econ_meter;
+  // --- not persisted ---
+  /// Pending arrival, device-lost, crash and restart events: the live work
+  /// has_live_work() keys off (recounted from the events on restore).
+  std::size_t live_events{0};
+  bool recovery_was_quarantined{false};
+  std::vector<std::pair<double, double>> power_samples;
+};
+
 class simulator {
  public:
   simulator(cluster_config config, std::unique_ptr<scheduling_policy> policy);
   ~simulator();
 
   /// Replay `trace` to completion; resets all per-run state first, so one
-  /// simulator can replay several traces.
+  /// simulator can replay several traces. Throws std::invalid_argument when
+  /// two jobs of the trace share an id.
   run_summary run(const job_trace& trace);
 
-  [[nodiscard]] const std::vector<job_result>& results() const { return results_; }
+  [[nodiscard]] const std::vector<job_result>& results() const { return st_.results; }
 
   /// Modelled facility power sampled after every event, as (time, watts)
   /// pairs — the budget test asserts every sample respects the cap.
   [[nodiscard]] const std::vector<std::pair<double, double>>& power_samples() const {
-    return power_samples_;
+    return st_.power_samples;
   }
 
   [[nodiscard]] sched::controller& controller() { return *ctl_; }
@@ -298,80 +392,91 @@ class simulator {
 
   /// Enable periodic virtual-time checkpointing (and/or crash injection) for
   /// subsequent run()/resume() calls. Throws std::invalid_argument when the
-  /// config has the reactive governor enabled — per-job governor state is
-  /// not serialisable (see ARCHITECTURE §17's operational contract); the
-  /// lifecycle regime is excluded the same way by the tool layer. Pass the
-  /// guard/service the scheduling policy plans through via `opts` so their
-  /// state (drift window, tier counters, plan cache) rides in the artefact.
+  /// config has the reactive governor enabled or a lifecycle loop is
+  /// attached — per-job governor objects and in-memory retrain state are not
+  /// serialisable (ARCHITECTURE §17). Pass the guard/service the scheduling
+  /// policy plans through via `opts` so their state (drift window, tier
+  /// counters, plan cache) rides in the artefact. The checkpoint ticks and
+  /// the crash-injection event this arms are never written into artefacts.
   void set_checkpointing(checkpoint_options opts);
 
   /// Serialize the full simulator state at the current virtual time into a
-  /// checkpoint payload (unsealed; callers wrap it with envelope::seal).
-  /// Normally driven by the periodic tick, but public for tests.
+  /// checkpoint payload (unsealed; callers wrap it with envelope::seal):
+  /// the run_state, the pending events with their sequence numbers, and the
+  /// attached subsystems. Normally driven by the periodic tick, but public
+  /// for tests.
   [[nodiscard]] std::string serialize_checkpoint() const;
 
   /// Restore state from a checkpoint payload (already opened fail-closed
   /// through the envelope). `trace` must be the same trace the exporting
   /// run replayed — identity is verified by CRC over its CSV rendering.
-  /// On any parse/consistency error the simulator is left untouched and
-  /// the status names the offending section. Call set_checkpointing() and
-  /// attach_observability() (when the exporting run had them) first.
+  /// The payload is read into a fresh state and validated completely (enum
+  /// ranges, slot and node indices, every pending event against the trace,
+  /// the clock and the epoch counter) before anything is committed; on any
+  /// error the simulator is left untouched and the status names the
+  /// offending section. Call set_checkpointing() and attach_observability()
+  /// (when the exporting run had them) first.
   [[nodiscard]] common::status restore_checkpoint(const std::string& payload,
                                                   const job_trace& trace);
 
-  /// Continue a restored run to completion. The event queue is rebuilt from
-  /// the restored state in original tie-break order, so the summary, per-job
-  /// results, ledger, and snapshot rendering are byte-identical to the
-  /// uninterrupted run. Precondition: restore_checkpoint() succeeded.
+  /// Continue a restored run to completion. The restored events keep their
+  /// sequence numbers, so the summary, per-job results, ledger, and snapshot
+  /// rendering are byte-identical to the uninterrupted run. Checkpoint ticks
+  /// re-arm from this simulator's checkpoint_options (none when interval_s
+  /// is 0), and crash injection only when crash_at_s lies ahead of the
+  /// restored clock. Precondition: restore_checkpoint() succeeded.
   [[nodiscard]] run_summary resume(const job_trace& trace);
 
   /// Scrape ticks fired so far (restored across resume) — tools use it to
   /// re-seed the snapshot sequence number.
-  [[nodiscard]] std::uint64_t scrape_ticks() const { return scrape_ticks_; }
+  [[nodiscard]] std::uint64_t scrape_ticks() const { return st_.scrape_ticks; }
   /// The run's cost/carbon accumulators (inactive unless config().econ is
   /// usable) — tools read it for snapshot fields and the cost report.
-  [[nodiscard]] const econ::cost_meter& econ_meter() const { return econ_meter_; }
+  [[nodiscard]] const econ::cost_meter& econ_meter() const { return st_.econ_meter; }
   /// Checkpoint files written by this simulator so far.
-  [[nodiscard]] std::uint64_t checkpoints_written() const { return ckpt_index_; }
+  [[nodiscard]] std::uint64_t checkpoints_written() const { return st_.ckpt_index; }
 
   /// Print the per-job sacct-style table of the last run.
   void report(std::ostream& os) const;
 
  private:
-  struct slot_state {
-    bool busy{false};
-    double busy_until{0.0};
-  };
-
   void rebuild_controller();
-  [[nodiscard]] sched::node_config make_node_config(const std::string& name) const;
+  /// Inventory entry for node `number` (named cnNNN).
+  [[nodiscard]] sched::node_config make_node_config(std::size_t number) const;
+  /// Number of the node at controller index `ni`.
+  [[nodiscard]] std::size_t node_number(std::size_t ni) const;
+  /// Per-run state at time zero for this configuration.
+  [[nodiscard]] run_state fresh_state() const;
+  /// Kinds whose pending events count as live work (has_live_work()).
+  [[nodiscard]] static bool is_live(event_kind kind);
+  /// Schedule an event, counting the kinds that make up live work.
+  void schedule(double t, event_kind kind, std::uint64_t id = 0);
+  /// Fire one event: the single dispatch point of the simulation.
+  void dispatch(const event& e);
   void arrive(const traced_job& job);
-  void schedule_arrival(const job_trace& trace, std::size_t index, double t);
-  void complete(int job_id, std::uint64_t epoch);
-  /// A GPU on `node_name` fell off the bus: requeue every job running
+  void complete(std::uint64_t epoch);
+  /// A GPU on node `number` fell off the bus: requeue every job running
   /// there, drain and remove the node, shrink the inventory.
-  void device_lost(const std::string& node_name);
+  void device_lost(std::uint64_t number);
   /// Requeue every job running on node index `ni` with wasted-energy
   /// attribution (cause::fault_wasted); returns how many were drained.
   /// Shared by the device-lost and node-crash paths.
   std::size_t drain_node(std::size_t ni);
   /// Remove node `ni` from the inventory and rebuild the power budget over
-  /// the survivors (folding the old budget's counters into the base).
-  /// False when the controller refused the removal (node not idle/absent).
+  /// the survivors. False when the controller refused the removal (node not
+  /// idle/absent).
   bool remove_node_and_rebuild(std::size_t ni);
   /// Rebuild the power budget against the current inventory, re-registering
-  /// every running job's demand and folding counters into the base.
+  /// every running job's demand; the budget's counters carry over.
   void rebuild_budget();
-  /// Node-level chaos events (id-keyed so pending events are serialisable).
-  void node_crash(std::uint64_t event_id);
-  void node_restart(std::uint64_t event_id);
-  void device_lost_event(std::uint64_t event_id);
+  void node_crash();
+  void node_restart(std::uint64_t number);
   /// Periodic checkpoint tick: serialize + seal + atomic write, reschedule.
   void checkpoint_tick();
   /// True while undrained work can still schedule events: pending arrivals,
   /// running jobs, or pending fault/chaos events. The self-rescheduling
-  /// ticks (scrape, checkpoint) key off this instead of engine emptiness so
-  /// two tick streams cannot keep each other alive forever.
+  /// ticks (scrape, econ, checkpoint) key off this instead of engine
+  /// emptiness so two tick streams cannot keep each other alive forever.
   [[nodiscard]] bool has_live_work() const;
   /// Shared tail of run()/resume(): drive the engine dry, close accounting,
   /// fail whatever never scheduled, assemble the summary.
@@ -388,143 +493,42 @@ class simulator {
   void start(std::size_t queue_index, const placement& pl);
   void integrate_to_now();
   /// Governor poll for one governed job (epoch-guarded like complete()).
-  void governor_tick(int job_id, std::uint64_t epoch);
+  void governor_tick(std::uint64_t epoch);
+  /// Close `rj`'s open accrual segment at `now`: advance work fraction,
+  /// book the segment's joules into the seed/governor bucket, and advance
+  /// busy GPU-seconds.
+  void accrue_governed(running_job& rj, double now);
   /// Drift multiplier on modelled power at `core_mhz`, as of now.
   [[nodiscard]] double drift_factor_now(double core_mhz) const;
   void sample_power();
+  /// Scrape tick: ledger sample + watchdog evaluation + hook, rescheduled
+  /// while live work remains.
+  void scrape_tick();
+  /// Wake-up at the next price boundary while deferrable jobs wait: a
+  /// single self-rescheduling tick (scrape pattern).
+  void econ_tick();
   [[nodiscard]] job_result& result_of(int job_id);
+  [[nodiscard]] double now() const { return st_.engine.now(); }
 
   cluster_config config_;
   std::unique_ptr<scheduling_policy> policy_;
   std::unique_ptr<sched::controller> ctl_;
   gpusim::device_spec spec_;
   gpusim::dvfs_model model_;
-
-  event_engine engine_;
   std::unique_ptr<power_budget> budget_;
-  std::vector<std::vector<slot_state>> slots_;
-  std::vector<queued_job> queue_;
-  std::vector<job_result> results_;
-  struct running_job {
-    int id{0};
-    /// Generation counter: a requeued job's stale completion event (which
-    /// the engine cannot cancel) no longer matches and is ignored.
-    std::uint64_t epoch{0};
-    std::vector<gpu_slot> gpus;
-    traced_job job;          ///< original submission, for requeueing
-    double est{0.0};         ///< default-clock runtime estimate (queue entry)
-    double start_s{0.0};
-    double duration{0.0};
-    double energy_j{0.0};    ///< total pre-charged GPU energy (0 when governed)
-    double avg_power_w{0.0};  ///< per-GPU busy power (budget re-registration)
-    obs::cause why{obs::cause::unattributed};  ///< attribution of this job's joules
-    std::string node;        ///< primary node name (multi-node gangs charge here)
-    // --- reactive-governor state (null/zero on ungoverned jobs). Governed
-    // jobs are not pre-charged: energy accrues segment by segment at each
-    // tick, split into the seed-attributed and governor-attributed buckets.
-    std::shared_ptr<governor::governor> gov;  ///< shared: running_job is copied
-    common::megahertz seed_clock{0.0};  ///< clock the planner/default seeded
-    bool deviated{false};          ///< governor has left the seeded clock
-    double seed_energy_j{0.0};     ///< accrued before the first deviation
-    double gov_energy_j{0.0};      ///< accrued after it (cause::governor)
-    double frac_done{0.0};         ///< fraction of the job's work completed
-    double last_tick_s{0.0};       ///< start of the open accrual segment
-    double cur_power_w{0.0};       ///< per-GPU watts at the current clock (drifted)
-    double cur_base_power_w{0.0};  ///< same, pre-drift (model's belief)
-    double cur_duration_full{0.0};  ///< whole-job seconds at the current clock
-    double cur_util{0.0};          ///< modelled compute utilisation at it
-    double target_w{0.0};          ///< hybrid watt target (predicted power)
-    // --- checkpoint bookkeeping: the pending completion (or governor tick)
-    // event for this job, so a resumed run can reschedule it exactly.
-    double event_t{0.0};
-    std::uint64_t event_seq{0};
-  };
-  /// Close `rj`'s open accrual segment at `now`: advance work fraction,
-  /// book the segment's joules into the seed/governor bucket, and advance
-  /// busy GPU-seconds.
-  void accrue_governed(running_job& rj, double now);
-  std::vector<running_job> running_;
-  std::vector<std::pair<double, double>> power_samples_;
-  double last_integrated_s_{0.0};
-  /// Virtual time of the newest accounting-relevant event. finish_run()
-  /// closes integration and the final scrape here rather than at
-  /// engine_.now(): a trailing (inert) checkpoint tick may outlive all live
-  /// work, and the contract is byte-identical output with checkpointing on
-  /// or off.
-  double last_live_t_{0.0};
-  double facility_energy_j_{0.0};
-  double busy_gpu_seconds_{0.0};
-  double peak_power_w_{0.0};
+  run_state st_;
+  const job_trace* trace_{nullptr};  ///< the trace run()/resume() is replaying
   // --- observability (optional) ---
-  /// Scrape tick: ledger sample + watchdog evaluation + hook, rescheduled
-  /// while the engine still has events.
-  void scrape_tick();
   std::shared_ptr<obs::slo_watchdog> watchdog_;
   std::shared_ptr<guarded_planner> attribution_guard_;
   std::function<void(double)> scrape_hook_;
-  // --- lifecycle recovery (optional; counters reset per run) ---
+  // --- lifecycle recovery (optional) ---
   std::shared_ptr<guarded_planner> recovery_guard_;
   std::shared_ptr<lifecycle::model_registry> recovery_registry_;
   std::shared_ptr<lifecycle::lifecycle_manager> recovery_manager_;
-  bool recovery_was_quarantined_{false};
-  std::size_t quarantines_{0};
-  std::size_t promotions_{0};
-  std::size_t rollbacks_{0};
-  // --- fault state (reset per run) ---
-  common::pcg32 fault_rng_{0};
-  std::uint64_t next_epoch_{0};
-  std::size_t clock_set_faults_{0};
-  std::size_t degraded_samples_{0};
-  std::size_t requeues_{0};
-  std::size_t nodes_lost_{0};
-  double wasted_energy_j_{0.0};
-  // --- governor counters (reset per run) ---
-  std::size_t governor_ticks_{0};
-  std::size_t governor_clock_changes_{0};
-  // Budget counters accumulated across budget rebuilds (node removal).
-  std::size_t budget_rebalances_base_{0};
-  std::size_t budget_demotions_base_{0};
-  // --- node-level chaos state (reset per run) ---
-  common::pcg32 chaos_rng_{0};
-  std::size_t node_crashes_{0};
-  std::size_t node_restarts_{0};
-  // --- explicit pending-event registries (closures cannot serialize; the
-  // checkpoint rebuilds the event queue from these + running_/arrivals) ---
-  struct pending_node_event {
-    std::uint64_t id{0};   ///< registry key (captured by the closure)
-    double t{0.0};         ///< fire time
-    std::uint64_t seq{0};  ///< engine tie-break rank
-    std::string node;      ///< victim (device-lost / restart); empty for crash
-  };
-  std::vector<pending_node_event> pending_faults_;    ///< device-lost events
-  std::vector<pending_node_event> pending_crashes_;   ///< chaos crash events
-  std::vector<pending_node_event> pending_restarts_;  ///< chaos restart events
-  std::uint64_t next_node_event_id_{0};
-  std::vector<std::uint64_t> arrival_seq_;  ///< per trace index: arrival event seq
-  std::vector<char> arrived_;               ///< per trace index: arrival fired
-  std::size_t arrivals_pending_{0};
-  // --- scrape/checkpoint tick bookkeeping (restored across resume) ---
-  double next_scrape_t_{-1.0};
-  std::uint64_t next_scrape_seq_{0};
-  std::uint64_t scrape_ticks_{0};
-  // --- facility economics (reset per run; restored across resume) ---
-  /// Wake-up at the next price boundary while deferrable jobs wait: a
-  /// single self-rescheduling tick (scrape pattern), so econ replays keep
-  /// the engine's tie-break sequence deterministic.
-  void econ_tick();
-  econ::cost_meter econ_meter_;
-  /// Jobs a defer() verdict is currently holding in the queue — their
-  /// eventual start attributes to cause::econ_deferred.
-  std::set<int> econ_deferred_ids_;
-  std::size_t econ_jobs_deferred_{0};
-  std::size_t econ_price_demotions_{0};
-  double next_econ_t_{-1.0};
-  std::uint64_t next_econ_seq_{0};
-  // --- checkpointing (configured once; index/cursor reset per run) ---
+  // --- checkpointing (configured once) ---
   checkpoint_options ckpt_;
   bool ckpt_enabled_{false};
-  std::uint64_t ckpt_index_{0};
-  double next_ckpt_t_{-1.0};
   std::uint64_t trace_crc_{0};  ///< CRC-32 of the running trace's CSV form
   bool restored_{false};        ///< restore_checkpoint() succeeded; resume() legal
 };

@@ -1,9 +1,12 @@
 #include "synergy/cluster/job_trace.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "synergy/common/csv.hpp"
 #include "synergy/common/rng.hpp"
@@ -23,6 +26,21 @@ std::string exact(double v) {
 }
 
 constexpr const char* header_magic = "# synergy-cluster-trace v1";
+
+/// Full-token numeric field: the whole text must be the number (no padding,
+/// no trailing junk), within T's range, and finite for doubles — anything
+/// else is the loader's documented std::invalid_argument.
+template <class T>
+T number(std::string_view text, const char* what) {
+  T v{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  bool ok = !text.empty() && ec == std::errc{} && end == text.data() + text.size();
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok)
+    throw std::invalid_argument("job_trace: bad " + std::string(what) + " '" + std::string(text) +
+                                "'");
+  return v;
+}
 
 }  // namespace
 
@@ -53,7 +71,8 @@ job_trace job_trace::from_csv(const std::string& text) {
   const auto seed_pos = header.find("seed=");
   if (seed_pos == std::string::npos)
     throw std::invalid_argument("job_trace: header records no seed");
-  trace.seed = std::stoull(header.substr(seed_pos + 5));
+  const std::string_view seed = std::string_view(header).substr(seed_pos + 5);
+  trace.seed = number<std::uint64_t>(seed.substr(0, seed.find(' ')), "seed");
 
   bool saw_columns = false;
   for (std::size_t ri = 1; ri < records.size(); ++ri) {
@@ -70,21 +89,20 @@ job_trace job_trace::from_csv(const std::string& text) {
       throw std::invalid_argument("job_trace: expected 8 or 10 fields, got " +
                                   std::to_string(f.size()));
     traced_job j;
-    j.id = std::stoi(f[0]);
+    j.id = number<int>(f[0], "id");
     j.name = f[1];
-    j.submit_s = std::stod(f[2]);
-    j.n_gpus = std::stoi(f[3]);
+    j.submit_s = number<double>(f[2], "submit_s");
+    j.n_gpus = number<int>(f[3], "n_gpus");
     j.kernel = f[4];
-    j.work_items = std::stod(f[5]);
-    j.iterations = std::stoi(f[6]);
+    j.work_items = number<double>(f[5], "work_items");
+    j.iterations = number<int>(f[6], "iterations");
     j.target = f[7];
     if (f.size() == 10) {
       if (f[8] != "0" && f[8] != "1")
         throw std::invalid_argument("job_trace: deferrable must be 0 or 1 for id " + f[0]);
       j.deferrable = f[8] == "1";
-      j.deadline_s = std::stod(f[9]);
-      if (std::isnan(j.deadline_s) ||
-          (j.deadline_s >= 0.0 && !(j.deadline_s >= j.submit_s)))
+      j.deadline_s = number<double>(f[9], "deadline_s");
+      if (j.deadline_s >= 0.0 && j.deadline_s < j.submit_s)
         throw std::invalid_argument("job_trace: deadline before submit for id " + f[0]);
     }
     if (j.n_gpus < 1 || j.iterations < 1 || !(j.work_items > 0.0) ||

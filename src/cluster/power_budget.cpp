@@ -6,8 +6,13 @@
 
 namespace synergy::cluster {
 
-power_budget::power_budget(sched::controller& ctl, double facility_cap_w)
-    : ctl_(&ctl), cap_w_(facility_cap_w), pm_(ctl, facility_cap_w) {
+power_budget::power_budget(sched::controller& ctl, double facility_cap_w,
+                           std::size_t rebalances, std::size_t demotions)
+    : ctl_(&ctl),
+      cap_w_(facility_cap_w),
+      pm_(ctl, facility_cap_w),
+      rebalances_(rebalances),
+      demotions_(demotions) {
   gpu_power_w_.resize(ctl.node_count());
   for (std::size_t i = 0; i < ctl.node_count(); ++i) {
     const auto& n = ctl.node_at(i);

@@ -1,6 +1,7 @@
 #include "synergy/cluster/simulator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -59,7 +60,7 @@ double drift_plan::factor(double core_mhz, double default_core_mhz) const {
 }
 
 double simulator::drift_factor_now(double core_mhz) const {
-  if (config_.drift.enabled() && engine_.now() >= config_.drift.at_s)
+  if (config_.drift.enabled() && now() >= config_.drift.at_s)
     return config_.drift.factor(core_mhz, spec_.default_config().core.value);
   return 1.0;
 }
@@ -81,8 +82,10 @@ simulator::simulator(cluster_config config, std::unique_ptr<scheduling_policy> p
   rebuild_controller();
 }
 
-sched::node_config simulator::make_node_config(const std::string& name) const {
+sched::node_config simulator::make_node_config(std::size_t number) const {
   sched::node_config cfg;
+  char name[24];
+  std::snprintf(name, sizeof name, "cn%03zu", number);
   cfg.name = name;
   cfg.gpus.assign(config_.gpus_per_node, config_.device);
   cfg.host_power_w = config_.host_power_w;
@@ -90,14 +93,19 @@ sched::node_config simulator::make_node_config(const std::string& name) const {
   return cfg;
 }
 
+std::size_t simulator::node_number(std::size_t ni) const {
+  // Node names are cnNNN with NNN the node's index in the full inventory;
+  // unlike indices, numbers survive earlier nodes leaving.
+  const std::string& name = ctl_->node_at(ni).name();
+  std::size_t number = 0;
+  std::from_chars(name.data() + 2, name.data() + name.size(), number);
+  return number;
+}
+
 void simulator::rebuild_controller() {
   std::vector<sched::node_config> nodes;
   nodes.reserve(config_.n_nodes);
-  for (std::size_t i = 0; i < config_.n_nodes; ++i) {
-    char name[16];
-    std::snprintf(name, sizeof name, "cn%03u", static_cast<unsigned>(i));
-    nodes.push_back(make_node_config(name));
-  }
+  for (std::size_t i = 0; i < config_.n_nodes; ++i) nodes.push_back(make_node_config(i));
   ctl_ = std::make_unique<sched::controller>(std::move(nodes));
 }
 
@@ -105,19 +113,19 @@ simulator::~simulator() = default;
 
 job_result& simulator::result_of(int job_id) {
   const auto it =
-      std::find_if(results_.begin(), results_.end(),
+      std::find_if(st_.results.begin(), st_.results.end(),
                    [job_id](const job_result& r) { return r.id == job_id; });
-  if (it == results_.end()) throw std::out_of_range("simulator: unknown job id");
+  if (it == st_.results.end()) throw std::out_of_range("simulator: unknown job id");
   return *it;
 }
 
 cluster_view simulator::make_view() const {
   // Sized off the *live* inventory: device-lost events shrink the cluster
-  // mid-run, and slots_ / the controller stay index-aligned throughout.
+  // mid-run, and the slot table and the controller stay index-aligned.
   cluster_view view;
-  view.now = engine_.now();
-  view.nodes.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
+  view.now = now();
+  view.nodes.reserve(st_.slots.size());
+  for (std::size_t i = 0; i < st_.slots.size(); ++i) {
     const auto& n = ctl_->node_at(i);
     cluster_view::node_view nv;
     nv.name = n.name();
@@ -128,7 +136,7 @@ cluster_view simulator::make_view() const {
         n.has_gres(sched::nvgpufreq_plugin::gres_tag) && n.config().nvml_available;
     nv.gpu_busy.reserve(config_.gpus_per_node);
     nv.busy_until.reserve(config_.gpus_per_node);
-    for (const auto& s : slots_[i]) {
+    for (const auto& s : st_.slots[i]) {
       nv.gpu_busy.push_back(s.busy);
       nv.busy_until.push_back(s.busy ? s.busy_until : view.now);
     }
@@ -139,10 +147,10 @@ cluster_view simulator::make_view() const {
 
 double simulator::shadow_time(int n_gpus) const {
   std::vector<double> avail;
-  avail.reserve(slots_.size() * config_.gpus_per_node);
-  for (const auto& node_slots : slots_)
+  avail.reserve(st_.slots.size() * config_.gpus_per_node);
+  for (const auto& node_slots : st_.slots)
     for (const auto& s : node_slots)
-      avail.push_back(s.busy ? s.busy_until : engine_.now());
+      avail.push_back(s.busy ? s.busy_until : now());
   if (static_cast<std::size_t>(n_gpus) > avail.size()) return inf;
   std::nth_element(avail.begin(), avail.begin() + (n_gpus - 1), avail.end());
   return avail[static_cast<std::size_t>(n_gpus) - 1];
@@ -173,25 +181,25 @@ bool simulator::admit(const traced_job& job, common::frequency_config& config,
 }
 
 void simulator::integrate_to_now() {
-  const double t = engine_.now();
-  if (t > last_integrated_s_) {
+  const double t = now();
+  if (t > st_.last_integrated_s) {
     const double w = budget_->facility_power_w();
-    facility_energy_j_ += w * (t - last_integrated_s_);
+    st_.facility_energy_j += w * (t - st_.last_integrated_s);
     // The cost integrator walks the same power signal over the same spans,
     // so facility cost is exactly the price-weighted facility energy.
-    if (econ_meter_.active()) econ_meter_.integrate(w, last_integrated_s_, t);
-    last_integrated_s_ = t;
+    if (st_.econ_meter.active()) st_.econ_meter.integrate(w, st_.last_integrated_s, t);
+    st_.last_integrated_s = t;
   }
 }
 
 void simulator::sample_power() {
   const double w = budget_->facility_power_w();
-  peak_power_w_ = std::max(peak_power_w_, w);
-  power_samples_.emplace_back(engine_.now(), w);
+  st_.peak_power_w = std::max(st_.peak_power_w, w);
+  st_.power_samples.emplace_back(now(), w);
 }
 
 void simulator::arrive(const traced_job& job) {
-  last_live_t_ = engine_.now();
+  st_.last_live_t = now();
   integrate_to_now();
   SYNERGY_COUNTER_ADD("cluster.arrivals", 1);
   SYNERGY_INSTANT(tel::category::sched, "cluster.arrival",
@@ -199,7 +207,7 @@ void simulator::arrive(const traced_job& job) {
                   {"n_gpus", static_cast<double>(job.n_gpus)});
 
   auto& r = result_of(job.id);
-  const std::size_t total_gpus = slots_.size() * config_.gpus_per_node;
+  const std::size_t total_gpus = st_.slots.size() * config_.gpus_per_node;
   if (static_cast<std::size_t>(job.n_gpus) > total_gpus) {
     r.state = sched::job_state::failed;
     r.failure_reason = "requests more GPUs than the cluster has";
@@ -211,7 +219,7 @@ void simulator::arrive(const traced_job& job) {
     const auto cost = model_.evaluate(
         spec_, folded_profile(job), {spec_.default_config().memory, spec_.min_core_clock()});
     const double idle_facility =
-        static_cast<double>(slots_.size()) *
+        static_cast<double>(st_.slots.size()) *
         (config_.host_power_w +
          static_cast<double>(config_.gpus_per_node) * spec_.idle_power_w);
     const double min_draw =
@@ -226,7 +234,7 @@ void simulator::arrive(const traced_job& job) {
   if (r.state != sched::job_state::failed) {
     const auto est =
         model_.evaluate(spec_, folded_profile(job), spec_.default_config()).time.value;
-    queue_.push_back(queued_job{job, est});
+    st_.queue.push_back(queued_job{job, est});
     try_schedule();
   }
   sample_power();
@@ -237,11 +245,11 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   // already); load-bearing for the econ tick, whose inert firings must not
   // move the accounting clock but whose job starts must close the facility
   // integral before the budget registers new draw.
-  last_live_t_ = engine_.now();
+  st_.last_live_t = now();
   integrate_to_now();
-  const queued_job qj = queue_[queue_index];
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(queue_index));
-  const double now = engine_.now();
+  const queued_job qj = st_.queue[queue_index];
+  st_.queue.erase(st_.queue.begin() + static_cast<std::ptrdiff_t>(queue_index));
+  const double now = st_.engine.now();
 
   auto& r = result_of(qj.job.id);
   r.state = sched::job_state::running;
@@ -255,20 +263,20 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   bool lose_device_here = false;
   double lose_at_frac = 0.0;
   if (faults_on) {
-    const double u_clock = fault_rng_.uniform();
-    const double u_lost = fault_rng_.uniform();
-    lose_at_frac = 0.1 + 0.8 * fault_rng_.uniform();
+    const double u_clock = st_.fault_rng.uniform();
+    const double u_lost = st_.fault_rng.uniform();
+    lose_at_frac = 0.1 + 0.8 * st_.fault_rng.uniform();
     if (u_clock < config_.faults.clock_set_fail_rate &&
         !(config == spec_.default_config())) {
       // Persistent clock-set failure: the node prologue retried and gave
       // up; the job runs at default clocks and its sample is degraded.
       config = spec_.default_config();
       r.clock_set_failed = true;
-      ++clock_set_faults_;
+      ++st_.clock_set_faults;
       SYNERGY_COUNTER_ADD("cluster.clock_set_faults", 1);
     }
     lose_device_here = u_lost < config_.faults.device_lost_rate &&
-                       nodes_lost_ < config_.faults.max_node_losses && slots_.size() > 1;
+                       st_.nodes_lost < config_.faults.max_node_losses && st_.slots.size() > 1;
   }
   r.core_mhz = config.core.value;
 
@@ -279,10 +287,10 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   // re-priced the clocks, and a clock-set fault means the job actually ran
   // at fallback clocks.
   obs::cause why = pl.config ? pl.plan_cause : obs::cause::default_clocks;
-  if (const auto di = econ_deferred_ids_.find(qj.job.id); di != econ_deferred_ids_.end()) {
+  if (const auto di = st_.econ_deferred_ids.find(qj.job.id); di != st_.econ_deferred_ids.end()) {
     // The job waited out a pricey window; its joules carry the deferral tag
     // unless the price-demotion rule already re-priced this placement.
-    econ_deferred_ids_.erase(di);
+    st_.econ_deferred_ids.erase(di);
     if (why != obs::cause::econ_price_demoted) why = obs::cause::econ_deferred;
   }
   if (r.demoted) why = obs::cause::cap_demoted;
@@ -311,16 +319,16 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   const bool governed =
       config_.governor.enabled && config_.tag_nvgpufreq && !r.clock_set_failed;
   r.gpu_energy_j = governed ? 0.0 : cost.energy.value * qj.job.n_gpus;
-  if (!governed) busy_gpu_seconds_ += duration * qj.job.n_gpus;
+  if (!governed) st_.busy_gpu_seconds += duration * qj.job.n_gpus;
 
   std::set<std::size_t> nodes_used;
   for (const auto& slot : pl.gpus) {
-    slots_[slot.node][slot.gpu] = {true, now + duration};
+    st_.slots[slot.node][slot.gpu] = {true, now + duration};
     budget_->gpu_busy(slot.node, slot.gpu, cost.avg_power.value);
     nodes_used.insert(slot.node);
   }
   for (const std::size_t ni : nodes_used) ctl_->node_at(ni).add_job();
-  const std::uint64_t epoch = next_epoch_++;
+  const std::uint64_t epoch = st_.next_epoch++;
   {
     running_job rj;
     rj.id = qj.job.id;
@@ -334,10 +342,10 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
     rj.avg_power_w = cost.avg_power.value;
     rj.why = why;
     rj.node = ctl_->node_at(pl.gpus.front().node).name();
-    running_.push_back(std::move(rj));
+    st_.running.push_back(std::move(rj));
   }
   if (governed) {
-    auto& rj = running_.back();
+    auto& rj = st_.running.back();
     rj.gov = std::shared_ptr<governor::governor>(
         std::move(governor::make_governor(config_.governor.spec, spec_)).value());
     rj.gov->seed(config.core);
@@ -362,58 +370,32 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
                   {"core_mhz", r.core_mhz}, {"wait_s", r.queue_wait_s});
 
   budget_->rebalance();
-  const int id = qj.job.id;
   const double tick = std::max(1e-3, config_.governor.tick_interval_s);
-  {
-    // Track the pending event on the job record so a checkpoint can
-    // reschedule it with the exact (time, tie-break rank) it had.
-    auto& rj = running_.back();
-    rj.event_t = governed && duration > tick ? now + tick : now + duration;
-    rj.event_seq =
-        governed && duration > tick
-            ? engine_.at(rj.event_t, [this, id, epoch] { governor_tick(id, epoch); })
-            : engine_.at(rj.event_t, [this, id, epoch] { complete(id, epoch); });
-  }
-  if (lose_device_here) {
-    // The board dies partway through this job. Nodes are addressed by name
-    // because indices shift when earlier losses remove nodes. The event
-    // lives in an explicit registry (id-keyed) so checkpoints can carry it.
-    const std::string victim = ctl_->node_at(pl.gpus.front().node).name();
-    const std::uint64_t eid = next_node_event_id_++;
-    const double t = now + duration * lose_at_frac;
-    const std::uint64_t seq = engine_.at(t, [this, eid] { device_lost_event(eid); });
-    pending_faults_.push_back({eid, t, seq, victim});
-  }
+  if (governed && duration > tick)
+    schedule(now + tick, event_kind::governor_tick, epoch);
+  else
+    schedule(now + duration, event_kind::completion, epoch);
+  // The board dies partway through this job. Nodes are addressed by number
+  // because indices shift when earlier losses remove nodes.
+  if (lose_device_here)
+    schedule(now + duration * lose_at_frac, event_kind::device_lost,
+             node_number(pl.gpus.front().node));
 }
 
-void simulator::device_lost_event(std::uint64_t event_id) {
-  const auto it =
-      std::find_if(pending_faults_.begin(), pending_faults_.end(),
-                   [event_id](const pending_node_event& e) { return e.id == event_id; });
-  if (it == pending_faults_.end()) return;  // dropped by a restore
-  last_live_t_ = engine_.now();
-  const std::string victim = it->node;
-  pending_faults_.erase(it);
-  device_lost(victim);
-}
-
-void simulator::complete(int job_id, std::uint64_t epoch) {
-  const auto it = std::find_if(running_.begin(), running_.end(), [&](const running_job& rj) {
-    return rj.id == job_id && rj.epoch == epoch;
-  });
+void simulator::complete(std::uint64_t epoch) {
+  const auto it = std::find_if(st_.running.begin(), st_.running.end(),
+                               [epoch](const running_job& rj) { return rj.epoch == epoch; });
   // Stale completion: the job was requeued by a device-lost/node-crash event
   // after this event was scheduled (the engine cannot cancel). Ignore it —
   // the restarted incarnation carries a fresh epoch. The check runs before
-  // any accounting so a stale event is a pure no-op: checkpoints then do not
-  // need to carry stale events, and resumed runs integrate the facility
-  // energy over the same spans as uninterrupted ones.
-  if (it == running_.end()) return;
-  last_live_t_ = engine_.now();
+  // any accounting so a stale event is a pure no-op, wherever it fires.
+  if (it == st_.running.end()) return;
+  st_.last_live_t = now();
   integrate_to_now();
 
   std::set<std::size_t> nodes_used;
   for (const auto& slot : it->gpus) {
-    slots_[slot.node][slot.gpu] = {false, 0.0};
+    st_.slots[slot.node][slot.gpu] = {false, 0.0};
     budget_->gpu_idle(slot.node, slot.gpu);
     nodes_used.insert(slot.node);
   }
@@ -422,26 +404,27 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
   if (it->gov) {
     // Close the final accrual segment and settle the job's energy from the
     // per-segment buckets (governed jobs were never pre-charged).
-    accrue_governed(*it, engine_.now());
-    auto& gr = result_of(job_id);
+    accrue_governed(*it, now());
+    auto& gr = result_of(it->id);
     gr.gpu_energy_j = it->seed_energy_j + it->gov_energy_j;
     gr.core_mhz = it->gov->current().value;
     governor_j = it->gov_energy_j;
   }
+  const int job_id = it->id;
   const traced_job finished = it->job;
   [[maybe_unused]] const obs::cause attribution = it->why;
   [[maybe_unused]] const std::string obs_node = it->node;
-  running_.erase(it);
+  st_.running.erase(it);
 
   auto& r = result_of(job_id);
   r.state = sched::job_state::completed;
-  r.end_s = engine_.now();
+  r.end_s = now();
   if (config_.faults.enabled() &&
-      fault_rng_.uniform() < config_.faults.power_read_dropout_rate) {
+      st_.fault_rng.uniform() < config_.faults.power_read_dropout_rate) {
     // The end-of-job power read dropped out: the energy figure comes from
     // the model with no sensor corroboration. Keep it, but flag it.
     r.energy_degraded = true;
-    ++degraded_samples_;
+    ++st_.degraded_samples;
     SYNERGY_COUNTER_ADD("cluster.degraded_samples", 1);
   }
   SYNERGY_COUNTER_ADD("cluster.jobs_completed", 1);
@@ -457,19 +440,19 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
     SYNERGY_OBS_CHARGE((obs::charge_key{obs_node, config_.device, r.name, r.kernel}),
                        obs::cause::governor, governor_j);
   if (watchdog_ && r.n_gpus > 0) watchdog_->observe_job(r.gpu_energy_j / r.n_gpus);
-  if (econ_meter_.active()) {
+  if (st_.econ_meter.active()) {
     // Shadow-price the same charges the ledger takes (econ accounting works
     // with the telemetry plane compiled out, so this is not behind the
     // SYNERGY_OBS_CHARGE macro). Both buckets price at completion time, the
     // instant the joules are booked.
-    const double now_s = engine_.now();
-    econ_meter_.charge(attribution, r.gpu_energy_j - governor_j, now_s);
-    if (governor_j > 0.0) econ_meter_.charge(obs::cause::governor, governor_j, now_s);
-    econ_meter_.complete_job();
+    const double now_s = now();
+    st_.econ_meter.charge(attribution, r.gpu_energy_j - governor_j, now_s);
+    if (governor_j > 0.0) st_.econ_meter.charge(obs::cause::governor, governor_j, now_s);
+    st_.econ_meter.complete_job();
     if (watchdog_ && r.n_gpus > 0) {
       const double kwh_per_gpu = r.gpu_energy_j / r.n_gpus / econ::joules_per_kwh;
-      watchdog_->observe_job_cost(kwh_per_gpu * econ_meter_.price_at(now_s),
-                                  kwh_per_gpu * econ_meter_.carbon_at(now_s));
+      watchdog_->observe_job_cost(kwh_per_gpu * st_.econ_meter.price_at(now_s),
+                                  kwh_per_gpu * st_.econ_meter.carbon_at(now_s));
     }
   }
 #if SYNERGY_TELEMETRY_ENABLED
@@ -498,14 +481,14 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
     recovery_manager_->record(
         {finished.kernel, features, {spec_.default_config().memory, core}, energy_per_item});
     const bool quarantined = recovery_guard_->quarantined();
-    if (quarantined && !recovery_was_quarantined_) {
-      ++quarantines_;
-      recovery_was_quarantined_ = true;
+    if (quarantined && !st_.recovery_was_quarantined) {
+      ++st_.quarantines;
+      st_.recovery_was_quarantined = true;
       SYNERGY_COUNTER_ADD("cluster.model_quarantines", 1);
       SYNERGY_INSTANT(tel::category::sched, "cluster.model_quarantine",
-                      {"t_s", engine_.now()});
+                      {"t_s", now()});
     }
-    const auto action = recovery_manager_->step(quarantined, engine_.now());
+    const auto action = recovery_manager_->step(quarantined, now());
     if (action == lifecycle::lifecycle_action::promoted ||
         action == lifecycle::lifecycle_action::rolled_back) {
       // Champion moved: install it into the shared guard. install() resets
@@ -513,16 +496,16 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
       // policy resumes model-tier planning from the next placement on.
       recovery_guard_->install(recovery_registry_ ? recovery_registry_->current_planner()
                                                   : nullptr);
-      recovery_was_quarantined_ = false;
+      st_.recovery_was_quarantined = false;
       if (action == lifecycle::lifecycle_action::promoted) {
-        ++promotions_;
+        ++st_.promotions;
         SYNERGY_COUNTER_ADD("cluster.model_promotions", 1);
       } else {
-        ++rollbacks_;
+        ++st_.rollbacks;
         SYNERGY_COUNTER_ADD("cluster.model_rollbacks", 1);
       }
       SYNERGY_INSTANT(tel::category::sched, "cluster.model_recovery",
-                      {"t_s", engine_.now()},
+                      {"t_s", now()},
                       {"promoted", action == lifecycle::lifecycle_action::promoted ? 1.0 : 0.0});
     }
   }
@@ -530,7 +513,7 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
   if (watchdog_) {
     const guarded_planner* g =
         attribution_guard_ ? attribution_guard_.get() : recovery_guard_.get();
-    if (g) watchdog_->observe_quarantine(engine_.now(), g->quarantined());
+    if (g) watchdog_->observe_quarantine(now(), g->quarantined());
   }
 
   budget_->rebalance();
@@ -548,23 +531,22 @@ void simulator::accrue_governed(running_job& rj, double now) {
     rj.gov_energy_j += joules;
   else
     rj.seed_energy_j += joules;
-  busy_gpu_seconds_ += elapsed * rj.job.n_gpus;
+  st_.busy_gpu_seconds += elapsed * rj.job.n_gpus;
   rj.last_tick_s = now;
 }
 
-void simulator::governor_tick(int job_id, std::uint64_t epoch) {
-  const auto it = std::find_if(running_.begin(), running_.end(), [&](const running_job& rj) {
-    return rj.id == job_id && rj.epoch == epoch;
-  });
+void simulator::governor_tick(std::uint64_t epoch) {
+  const auto it = std::find_if(st_.running.begin(), st_.running.end(),
+                               [epoch](const running_job& rj) { return rj.epoch == epoch; });
   // Stale tick: the job was requeued by a device-lost event after this tick
   // was scheduled; the restarted incarnation runs under a fresh epoch.
-  if (it == running_.end() || !it->gov) return;
-  last_live_t_ = engine_.now();
+  if (it == st_.running.end() || !it->gov) return;
+  st_.last_live_t = now();
   integrate_to_now();
   running_job& rj = *it;
-  const double now = engine_.now();
+  const double now = st_.engine.now();
   accrue_governed(rj, now);
-  ++governor_ticks_;
+  ++st_.governor_ticks;
   SYNERGY_COUNTER_ADD("cluster.governor_ticks", 1);
 
   // Drift may have switched on since the segment opened: refresh observed
@@ -575,7 +557,7 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
   const auto before = rj.gov->current();
   const auto decided = rj.gov->decide(sample);
   if (decided.value != before.value) {
-    ++governor_clock_changes_;
+    ++st_.governor_clock_changes;
     SYNERGY_COUNTER_ADD("cluster.governor_clock_changes", 1);
     // Re-price the rest of the job at the new clock. Work completed so far
     // is banked in frac_done; only the remaining fraction runs at the new
@@ -588,23 +570,19 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
     rj.cur_util = c.compute_utilization;
     rj.avg_power_w = rj.cur_power_w;  // budget re-registration on node loss
     if (decided.value != rj.seed_clock.value) rj.deviated = true;
-    result_of(job_id).core_mhz = decided.value;
+    result_of(rj.id).core_mhz = decided.value;
     for (const auto& s : rj.gpus) budget_->gpu_busy(s.node, s.gpu, rj.cur_power_w);
     budget_->rebalance();
   }
 
   const double remaining =
       rj.cur_duration_full > 0.0 ? (1.0 - rj.frac_done) * rj.cur_duration_full : 0.0;
-  for (const auto& s : rj.gpus) slots_[s.node][s.gpu].busy_until = now + remaining;
+  for (const auto& s : rj.gpus) st_.slots[s.node][s.gpu].busy_until = now + remaining;
   const double tick = std::max(1e-3, config_.governor.tick_interval_s);
-  const int id = job_id;
-  if (remaining <= tick + 1e-9) {
-    rj.event_t = now + std::max(0.0, remaining);
-    rj.event_seq = engine_.at(rj.event_t, [this, id, epoch] { complete(id, epoch); });
-  } else {
-    rj.event_t = now + tick;
-    rj.event_seq = engine_.at(rj.event_t, [this, id, epoch] { governor_tick(id, epoch); });
-  }
+  if (remaining <= tick + 1e-9)
+    schedule(now + std::max(0.0, remaining), event_kind::completion, epoch);
+  else
+    schedule(now + tick, event_kind::governor_tick, epoch);
   sample_power();
 }
 
@@ -613,21 +591,21 @@ std::size_t simulator::drain_node(std::size_t ni) {
   // are never lost. Its partial execution is refunded from the pre-charged
   // accounting and booked as wasted work instead.
   std::vector<running_job> victims;
-  for (auto it = running_.begin(); it != running_.end();) {
+  for (auto it = st_.running.begin(); it != st_.running.end();) {
     const bool on_node = std::any_of(it->gpus.begin(), it->gpus.end(),
                                      [ni](const gpu_slot& s) { return s.node == ni; });
     if (on_node) {
       victims.push_back(*it);
-      it = running_.erase(it);
+      it = st_.running.erase(it);
     } else {
       ++it;
     }
   }
-  const double now = engine_.now();
+  const double now = st_.engine.now();
   for (auto& rj : victims) {
     std::set<std::size_t> nodes_used;
     for (const auto& s : rj.gpus) {
-      slots_[s.node][s.gpu] = {false, 0.0};
+      st_.slots[s.node][s.gpu] = {false, 0.0};
       budget_->gpu_idle(s.node, s.gpu);
       nodes_used.insert(s.node);
     }
@@ -644,39 +622,38 @@ std::size_t simulator::drain_node(std::size_t ni) {
       wasted = rj.seed_energy_j + rj.gov_energy_j;
     } else {
       const double done = rj.duration > 0.0 ? std::min(1.0, elapsed / rj.duration) : 1.0;
-      busy_gpu_seconds_ -= (rj.duration - elapsed) * rj.job.n_gpus;
+      st_.busy_gpu_seconds -= (rj.duration - elapsed) * rj.job.n_gpus;
       wasted = rj.energy_j * done;
     }
-    wasted_energy_j_ += wasted;
+    st_.wasted_energy_j += wasted;
     // The partial execution's joules were spent and bought nothing: book
     // them as fault-wasted so the watchdog's wasted_energy_j rule sees the
     // incident on the next scrape.
     SYNERGY_OBS_CHARGE((obs::charge_key{rj.node, config_.device, r.name, r.kernel}),
                        obs::cause::fault_wasted, wasted);
-    if (econ_meter_.active()) econ_meter_.charge(obs::cause::fault_wasted, wasted, now);
+    if (st_.econ_meter.active()) st_.econ_meter.charge(obs::cause::fault_wasted, wasted, now);
     r.gpu_energy_j = 0.0;
     r.state = sched::job_state::pending;
     r.start_s = -1.0;
     r.core_mhz = 0.0;
     ++r.requeues;
-    ++requeues_;
+    ++st_.requeues;
     SYNERGY_COUNTER_ADD("cluster.requeues", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.requeue",
                     {"id", static_cast<double>(rj.id)},
                     {"node", static_cast<double>(ni)});
-    queue_.push_back(queued_job{rj.job, rj.est});
+    st_.queue.push_back(queued_job{rj.job, rj.est});
   }
   return victims.size();
 }
 
 void simulator::rebuild_budget() {
   // The budget is sized to the inventory, so node removal/re-admission
-  // rebuilds it from scratch; counters fold into the base so run totals
-  // survive the swap, and running jobs re-register their demand.
-  budget_rebalances_base_ += budget_->rebalances();
-  budget_demotions_base_ += budget_->demotions();
-  budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
-  for (const auto& rj : running_)
+  // rebuilds it from scratch; the counters carry over so run totals survive
+  // the swap, and running jobs re-register their demand.
+  budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w, budget_->rebalances(),
+                                           budget_->demotions());
+  for (const auto& rj : st_.running)
     for (const auto& s : rj.gpus) budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
 }
 
@@ -684,31 +661,28 @@ bool simulator::remove_node_and_rebuild(std::size_t ni) {
   // Drained of jobs, the node leaves the inventory through the controller's
   // normal removal path; slot and budget bookkeeping shift down with it.
   if (!ctl_->remove_node(ctl_->node_at(ni).name())) return false;
-  slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(ni));
-  for (auto& rj : running_)
+  st_.slots.erase(st_.slots.begin() + static_cast<std::ptrdiff_t>(ni));
+  for (auto& rj : st_.running)
     for (auto& s : rj.gpus)
       if (s.node > ni) --s.node;
   rebuild_budget();
   return true;
 }
 
-void simulator::device_lost(const std::string& node_name) {
-  // Resolve by name: earlier losses shift indices. A vanished name means the
-  // node is already gone (double event) — nothing to do.
-  std::size_t ni = slots_.size();
-  for (std::size_t i = 0; i < ctl_->node_count(); ++i)
-    if (ctl_->node_at(i).name() == node_name) {
-      ni = i;
-      break;
-    }
-  if (ni >= slots_.size() || slots_.size() <= 1 ||
-      nodes_lost_ >= config_.faults.max_node_losses)
+void simulator::device_lost(std::uint64_t number) {
+  st_.last_live_t = now();
+  // Resolve by number: earlier losses shift indices. A vanished number means
+  // the node is already gone (double event) — nothing to do.
+  std::size_t ni = 0;
+  while (ni < st_.slots.size() && node_number(ni) != number) ++ni;
+  if (ni >= st_.slots.size() || st_.slots.size() <= 1 ||
+      st_.nodes_lost >= config_.faults.max_node_losses)
     return;
   integrate_to_now();
 
   [[maybe_unused]] const std::size_t requeued = drain_node(ni);
   if (remove_node_and_rebuild(ni)) {
-    ++nodes_lost_;
+    ++st_.nodes_lost;
     SYNERGY_COUNTER_ADD("cluster.nodes_lost", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.device_lost",
                     {"node", static_cast<double>(ni)},
@@ -720,34 +694,25 @@ void simulator::device_lost(const std::string& node_name) {
   sample_power();
 }
 
-void simulator::node_crash(std::uint64_t event_id) {
-  const auto it =
-      std::find_if(pending_crashes_.begin(), pending_crashes_.end(),
-                   [event_id](const pending_node_event& e) { return e.id == event_id; });
-  if (it == pending_crashes_.end()) return;
-  last_live_t_ = engine_.now();
-  pending_crashes_.erase(it);
+void simulator::node_crash() {
+  st_.last_live_t = now();
   // At least one node always survives; a skipped crash consumes no RNG so
   // the victim stream stays aligned across replays regardless of timing.
-  if (slots_.size() <= 1) return;
+  if (st_.slots.size() <= 1) return;
   integrate_to_now();
 
   const auto ni = static_cast<std::size_t>(
-      chaos_rng_.bounded(static_cast<std::uint32_t>(slots_.size())));
-  const std::string name = ctl_->node_at(ni).name();
+      st_.chaos_rng.bounded(static_cast<std::uint32_t>(st_.slots.size())));
+  const std::size_t number = node_number(ni);
   [[maybe_unused]] const std::size_t requeued = drain_node(ni);
   if (remove_node_and_rebuild(ni)) {
-    ++node_crashes_;
+    ++st_.node_crashes;
     SYNERGY_COUNTER_ADD("cluster.node_crashes", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.node_crash",
                     {"node", static_cast<double>(ni)},
                     {"requeued", static_cast<double>(requeued)});
-    if (config_.chaos.restart_delay_s > 0.0) {
-      const std::uint64_t eid = next_node_event_id_++;
-      const double t = engine_.now() + config_.chaos.restart_delay_s;
-      const std::uint64_t seq = engine_.at(t, [this, eid] { node_restart(eid); });
-      pending_restarts_.push_back({eid, t, seq, name});
-    }
+    if (config_.chaos.restart_delay_s > 0.0)
+      schedule(now() + config_.chaos.restart_delay_s, event_kind::node_restart, number);
   }
 
   budget_->rebalance();
@@ -755,27 +720,21 @@ void simulator::node_crash(std::uint64_t event_id) {
   sample_power();
 }
 
-void simulator::node_restart(std::uint64_t event_id) {
-  const auto it =
-      std::find_if(pending_restarts_.begin(), pending_restarts_.end(),
-                   [event_id](const pending_node_event& e) { return e.id == event_id; });
-  if (it == pending_restarts_.end()) return;
-  last_live_t_ = engine_.now();
-  const std::string name = it->node;
-  pending_restarts_.erase(it);
+void simulator::node_restart(std::uint64_t number) {
+  st_.last_live_t = now();
   integrate_to_now();
 
   // Warm restart: the node returns with fresh idle slots (whatever ran there
   // was requeued at crash time), is appended to the inventory — append never
   // shifts existing indices — and the budget re-spreads over the grown
   // fleet before an immediate scheduling pass picks up deferred work.
-  ctl_->add_node(make_node_config(name));
-  slots_.emplace_back(config_.gpus_per_node, slot_state{});
+  ctl_->add_node(make_node_config(number));
+  st_.slots.emplace_back(config_.gpus_per_node, slot_state{});
   rebuild_budget();
-  ++node_restarts_;
+  ++st_.node_restarts;
   SYNERGY_COUNTER_ADD("cluster.node_restarts", 1);
   SYNERGY_INSTANT(tel::category::sched, "cluster.node_restart",
-                  {"node", static_cast<double>(slots_.size() - 1)});
+                  {"node", static_cast<double>(st_.slots.size() - 1)});
 
   budget_->rebalance();
   try_schedule();
@@ -784,24 +743,24 @@ void simulator::node_restart(std::uint64_t event_id) {
 
 void simulator::try_schedule() {
   bool progressed = true;
-  while (progressed && !queue_.empty()) {
+  while (progressed && !st_.queue.empty()) {
     progressed = false;
     auto view = make_view();
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
+    for (std::size_t i = 0; i < st_.queue.size(); ++i) {
       if (i > 0 && !policy_->backfills()) break;
       view.is_head = (i == 0);
-      view.head_reservation_s = (i == 0) ? inf : shadow_time(queue_[0].job.n_gpus);
-      if (econ_meter_.active() && policy_->defer(queue_[i], view)) {
+      view.head_reservation_s = (i == 0) ? inf : shadow_time(st_.queue[0].job.n_gpus);
+      if (st_.econ_meter.active() && policy_->defer(st_.queue[i], view)) {
         // The policy holds this job for a cheaper window; the econ tick
         // re-runs this scan at the next price boundary. Counted per
         // deferral episode (a requeued job may defer again).
-        if (econ_deferred_ids_.insert(queue_[i].job.id).second) {
-          ++econ_jobs_deferred_;
+        if (st_.econ_deferred_ids.insert(st_.queue[i].job.id).second) {
+          ++st_.econ_jobs_deferred;
           SYNERGY_COUNTER_ADD("cluster.econ_deferrals", 1);
         }
         continue;
       }
-      auto pl = policy_->place(queue_[i], view);
+      auto pl = policy_->place(st_.queue[i], view);
       if (!pl) continue;
       auto config = pl->config.value_or(spec_.default_config());
       // Price-threshold clock demotion: while the spot price sits above
@@ -809,9 +768,9 @@ void simulator::try_schedule() {
       // clock table before the cap has its say (the cap may demote further,
       // and its attribution still wins).
       bool price_demoted = false;
-      if (econ_meter_.active() && config_.econ.demote_price_ratio > 0.0 &&
-          econ_meter_.price_at(view.now) >
-              config_.econ.demote_price_ratio * econ_meter_.mean_price()) {
+      if (st_.econ_meter.active() && config_.econ.demote_price_ratio > 0.0 &&
+          st_.econ_meter.price_at(view.now) >
+              config_.econ.demote_price_ratio * st_.econ_meter.mean_price()) {
         const auto& clocks = spec_.core_clocks;
         const auto cur = spec_.nearest_core_clock(config.core);
         const auto ci = std::find(clocks.begin(), clocks.end(), cur);
@@ -821,15 +780,15 @@ void simulator::try_schedule() {
         }
       }
       bool demoted = false;
-      if (!admit(queue_[i].job, config, demoted)) continue;  // defer under the cap
+      if (!admit(st_.queue[i].job, config, demoted)) continue;  // defer under the cap
       if (demoted) {
         budget_->count_demotion();
         SYNERGY_COUNTER_ADD("cluster.cap_demotions", 1);
-        result_of(queue_[i].job.id).demoted = true;
+        result_of(st_.queue[i].job.id).demoted = true;
       }
       if (price_demoted) {
         pl->plan_cause = obs::cause::econ_price_demoted;
-        ++econ_price_demotions_;
+        ++st_.econ_price_demotions;
         SYNERGY_COUNTER_ADD("cluster.econ_price_demotions", 1);
       }
       pl->config = config;
@@ -840,76 +799,71 @@ void simulator::try_schedule() {
   }
 }
 
-void simulator::schedule_arrival(const job_trace& trace, std::size_t index, double t) {
-  const traced_job job = trace.jobs[index];
-  arrival_seq_[index] = engine_.at(t, [this, job, index] {
-    arrived_[index] = 1;
-    --arrivals_pending_;
-    arrive(job);
-  });
+bool simulator::has_live_work() const {
+  return st_.live_events > 0 || !st_.running.empty();
 }
 
-bool simulator::has_live_work() const {
-  return arrivals_pending_ > 0 || !running_.empty() || !pending_faults_.empty() ||
-         !pending_crashes_.empty() || !pending_restarts_.empty();
+bool simulator::is_live(event_kind kind) {
+  return kind == event_kind::arrival || kind == event_kind::device_lost ||
+         kind == event_kind::node_crash || kind == event_kind::node_restart;
+}
+
+void simulator::schedule(double t, event_kind kind, std::uint64_t id) {
+  if (is_live(kind)) ++st_.live_events;
+  st_.engine.at(t, kind, id);
+}
+
+void simulator::dispatch(const event& e) {
+  if (is_live(e.kind)) --st_.live_events;
+  switch (e.kind) {
+    case event_kind::arrival: arrive(trace_->jobs[e.id]); break;
+    case event_kind::completion: complete(e.id); break;
+    case event_kind::governor_tick: governor_tick(e.id); break;
+    case event_kind::device_lost: device_lost(e.id); break;
+    case event_kind::node_crash: node_crash(); break;
+    case event_kind::node_restart: node_restart(e.id); break;
+    case event_kind::scrape_tick: scrape_tick(); break;
+    case event_kind::econ_tick: econ_tick(); break;
+    case event_kind::checkpoint_tick: checkpoint_tick(); break;
+    case event_kind::crash_injection:
+      // Crash-injection harness: die hard, skipping destructors and atexit,
+      // exactly like an OOM-kill would — whatever the last checkpoint
+      // captured is all a resume gets.
+      std::fflush(nullptr);
+      std::_Exit(crash_injection_exit_code);
+  }
+}
+
+run_state simulator::fresh_state() const {
+  run_state s;
+  s.slots.assign(config_.n_nodes, std::vector<slot_state>(config_.gpus_per_node));
+  s.fault_rng = common::pcg32{config_.faults.seed};
+  s.chaos_rng = common::pcg32{config_.chaos.seed};
+  s.econ_meter = econ::cost_meter{config_.econ, config_.n_nodes};
+  return s;
 }
 
 run_summary simulator::run(const job_trace& trace) {
+  // result_of() resolves jobs by id, so a repeated id would silently leave
+  // the second job pending forever.
+  std::vector<int> ids;
+  ids.reserve(trace.jobs.size());
+  for (const auto& job : trace.jobs) ids.push_back(job.id);
+  std::sort(ids.begin(), ids.end());
+  if (const auto dup = std::adjacent_find(ids.begin(), ids.end()); dup != ids.end())
+    throw std::invalid_argument("simulator: duplicate job id " + std::to_string(*dup) +
+                                " in trace");
+
   // Reset per-run state so one simulator can replay several traces. A
   // previous faulty run may have removed nodes — restore the full inventory.
   if (ctl_->node_count() != config_.n_nodes) rebuild_controller();
-  engine_ = event_engine{};
+  st_ = fresh_state();
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
-  slots_.assign(config_.n_nodes, std::vector<slot_state>(config_.gpus_per_node));
-  queue_.clear();
-  running_.clear();
-  results_.clear();
-  power_samples_.clear();
-  last_integrated_s_ = 0.0;
-  last_live_t_ = 0.0;
-  facility_energy_j_ = 0.0;
-  busy_gpu_seconds_ = 0.0;
-  peak_power_w_ = 0.0;
-  fault_rng_ = common::pcg32{config_.faults.seed};
-  recovery_was_quarantined_ = false;
-  quarantines_ = 0;
-  promotions_ = 0;
-  rollbacks_ = 0;
-  next_epoch_ = 0;
-  clock_set_faults_ = 0;
-  degraded_samples_ = 0;
-  requeues_ = 0;
-  nodes_lost_ = 0;
-  wasted_energy_j_ = 0.0;
-  governor_ticks_ = 0;
-  governor_clock_changes_ = 0;
-  budget_rebalances_base_ = 0;
-  budget_demotions_base_ = 0;
-  chaos_rng_ = common::pcg32{config_.chaos.seed};
-  node_crashes_ = 0;
-  node_restarts_ = 0;
-  pending_faults_.clear();
-  pending_crashes_.clear();
-  pending_restarts_.clear();
-  next_node_event_id_ = 0;
-  arrival_seq_.assign(trace.jobs.size(), 0);
-  arrived_.assign(trace.jobs.size(), 0);
-  arrivals_pending_ = trace.jobs.size();
-  next_scrape_t_ = -1.0;
-  next_scrape_seq_ = 0;
-  scrape_ticks_ = 0;
-  econ_meter_ = econ::cost_meter{config_.econ, config_.n_nodes};
-  econ_deferred_ids_.clear();
-  econ_jobs_deferred_ = 0;
-  econ_price_demotions_ = 0;
-  next_econ_t_ = -1.0;
-  next_econ_seq_ = 0;
-  ckpt_index_ = 0;
-  next_ckpt_t_ = -1.0;
+  trace_ = &trace;
   trace_crc_ = 0;
   restored_ = false;
 
-  results_.reserve(trace.jobs.size());
+  st_.results.reserve(trace.jobs.size());
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
     const auto& job = trace.jobs[i];
     job_result r;
@@ -919,22 +873,17 @@ run_summary simulator::run(const job_trace& trace) {
     r.target = job.target;
     r.n_gpus = job.n_gpus;
     r.submit_s = job.submit_s;
-    results_.push_back(std::move(r));
-    schedule_arrival(trace, i, job.submit_s);
+    st_.results.push_back(std::move(r));
+    schedule(job.submit_s, event_kind::arrival, i);
   }
   sample_power();
-  if (config_.obs_scrape_interval_s > 0.0) {
-    next_scrape_t_ = config_.obs_scrape_interval_s;
-    next_scrape_seq_ = engine_.at(next_scrape_t_, [this] { scrape_tick(); });
-  }
-  if (econ_meter_.active()) {
+  if (config_.obs_scrape_interval_s > 0.0)
+    schedule(config_.obs_scrape_interval_s, event_kind::scrape_tick);
+  if (st_.econ_meter.active()) {
     // First econ wake-up at the first price boundary (a constant trace has
     // none — nothing can defer, so no tick stream at all).
     const double first = config_.econ.price.next_change_after(0.0);
-    if (first > 0.0) {
-      next_econ_t_ = first;
-      next_econ_seq_ = engine_.at(next_econ_t_, [this] { econ_tick(); });
-    }
+    if (first > 0.0) schedule(first, event_kind::econ_tick);
   }
   if (config_.chaos.enabled()) {
     // All crash times are drawn up-front from the chaos stream (cumulative
@@ -943,67 +892,55 @@ run_summary simulator::run(const job_trace& trace) {
     // the then-live inventory.
     double t = 0.0;
     for (std::size_t k = 0; k < config_.chaos.max_crashes; ++k) {
-      t += -config_.chaos.mtbf_s * std::log1p(-chaos_rng_.uniform());
-      const std::uint64_t eid = next_node_event_id_++;
-      const std::uint64_t seq = engine_.at(t, [this, eid] { node_crash(eid); });
-      pending_crashes_.push_back({eid, t, seq, ""});
+      t += -config_.chaos.mtbf_s * std::log1p(-st_.chaos_rng.uniform());
+      schedule(t, event_kind::node_crash);
     }
   }
   if (ckpt_enabled_) {
     trace_crc_ = common::crc32(trace.to_csv());
-    if (ckpt_.interval_s > 0.0) {
-      next_ckpt_t_ = ckpt_.interval_s;
-      engine_.at(next_ckpt_t_, [this] { checkpoint_tick(); });
-    }
-    if (ckpt_.crash_at_s >= 0.0)
-      engine_.at(ckpt_.crash_at_s, [] {
-        // Crash-injection harness: die hard, skipping destructors and
-        // atexit, exactly like an OOM-kill would — whatever the last
-        // checkpoint captured is all a resume gets.
-        std::fflush(nullptr);
-        std::_Exit(crash_injection_exit_code);
-      });
+    if (ckpt_.interval_s > 0.0) schedule(ckpt_.interval_s, event_kind::checkpoint_tick);
+    if (ckpt_.crash_at_s >= 0.0) schedule(ckpt_.crash_at_s, event_kind::crash_injection);
   }
   return finish_run(trace);
 }
 
 run_summary simulator::finish_run(const job_trace& trace) {
-  engine_.run();
-  // Close accounting at the last live event, not engine_.now(): the drained
+  st_.engine.run([this](const event& e) { dispatch(e); });
+  // Close accounting at the last live event, not now(): the drained
   // clock can sit on a trailing inert event (a checkpoint tick scheduled
   // before the work ran dry, or a stale completion of a requeued job) whose
   // presence depends on checkpointing/crash history — and the contract is
   // byte-identical output with checkpointing on or off.
-  if (last_live_t_ > last_integrated_s_) {
+  if (st_.last_live_t > st_.last_integrated_s) {
     const double w = budget_->facility_power_w();
-    facility_energy_j_ += w * (last_live_t_ - last_integrated_s_);
-    if (econ_meter_.active()) econ_meter_.integrate(w, last_integrated_s_, last_live_t_);
-    last_integrated_s_ = last_live_t_;
+    st_.facility_energy_j += w * (st_.last_live_t - st_.last_integrated_s);
+    if (st_.econ_meter.active()) st_.econ_meter.integrate(w, st_.last_integrated_s, st_.last_live_t);
+    st_.last_integrated_s = st_.last_live_t;
   }
   if (config_.obs_scrape_interval_s > 0.0) {
     // Closing sample: a run shorter than one interval still gets a series
     // point, and the watchdog sees the final state.
-    obs::energy_ledger::instance().scrape(last_live_t_);
-    if (watchdog_) watchdog_->evaluate(last_live_t_);
-    if (scrape_hook_) scrape_hook_(last_live_t_);
+    obs::energy_ledger::instance().scrape(st_.last_live_t);
+    if (watchdog_) watchdog_->evaluate(st_.last_live_t);
+    if (scrape_hook_) scrape_hook_(st_.last_live_t);
   }
 
   // Anything still queued can never start (the queue only drains on
   // completions, and none are pending).
-  for (const auto& qj : queue_) {
+  for (const auto& qj : st_.queue) {
     auto& r = result_of(qj.job.id);
     r.state = sched::job_state::failed;
     r.failure_reason = "deferred by the power budget with nothing left to drain";
     SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
   }
-  queue_.clear();
+  st_.queue.clear();
 
   run_summary s;
   s.seed = trace.seed;
   s.policy = policy_->name();
-  s.jobs = results_.size();
+  s.jobs = st_.results.size();
   std::vector<double> waits;
-  for (const auto& r : results_) {
+  for (const auto& r : st_.results) {
     if (r.state == sched::job_state::completed) {
       ++s.completed;
       s.makespan_s = std::max(s.makespan_s, r.end_s);
@@ -1013,7 +950,7 @@ run_summary simulator::finish_run(const job_trace& trace) {
       ++s.failed;
     }
   }
-  s.facility_energy_j = facility_energy_j_;
+  s.facility_energy_j = st_.facility_energy_j;
   if (!waits.empty()) {
     s.mean_wait_s = common::mean(waits);
     s.p50_wait_s = common::percentile(waits, 50.0);
@@ -1022,47 +959,47 @@ run_summary simulator::finish_run(const job_trace& trace) {
   }
   if (s.makespan_s > 0.0) {
     s.throughput_jobs_per_h = static_cast<double>(s.completed) / s.makespan_s * 3600.0;
-    s.gpu_utilization = busy_gpu_seconds_ /
+    s.gpu_utilization = st_.busy_gpu_seconds /
                         (static_cast<double>(config_.n_nodes * config_.gpus_per_node) *
                          s.makespan_s);
   }
-  s.peak_facility_power_w = peak_power_w_;
-  s.cap_rebalances = budget_rebalances_base_ + budget_->rebalances();
-  s.cap_demotions = budget_demotions_base_ + budget_->demotions();
-  s.clock_set_faults = clock_set_faults_;
-  s.degraded_samples = degraded_samples_;
-  s.requeues = requeues_;
-  s.nodes_lost = nodes_lost_;
-  s.wasted_gpu_energy_j = wasted_energy_j_;
-  s.node_crashes = node_crashes_;
-  s.node_restarts = node_restarts_;
-  s.quarantines = quarantines_;
-  s.promotions = promotions_;
-  s.rollbacks = rollbacks_;
-  s.governor_ticks = governor_ticks_;
-  s.governor_clock_changes = governor_clock_changes_;
-  s.econ_cost_usd = econ_meter_.total_cost_usd();
-  s.econ_capex_usd = econ_meter_.capex_usd();
-  s.econ_carbon_g = econ_meter_.facility_carbon_g();
-  s.econ_cost_per_job_usd = econ_meter_.cost_per_job_usd();
-  s.econ_carbon_per_job_g = econ_meter_.carbon_per_job_g();
-  s.econ_jobs_deferred = econ_jobs_deferred_;
-  s.econ_price_demotions = econ_price_demotions_;
+  s.peak_facility_power_w = st_.peak_power_w;
+  s.cap_rebalances = budget_->rebalances();
+  s.cap_demotions = budget_->demotions();
+  s.clock_set_faults = st_.clock_set_faults;
+  s.degraded_samples = st_.degraded_samples;
+  s.requeues = st_.requeues;
+  s.nodes_lost = st_.nodes_lost;
+  s.wasted_gpu_energy_j = st_.wasted_energy_j;
+  s.node_crashes = st_.node_crashes;
+  s.node_restarts = st_.node_restarts;
+  s.quarantines = st_.quarantines;
+  s.promotions = st_.promotions;
+  s.rollbacks = st_.rollbacks;
+  s.governor_ticks = st_.governor_ticks;
+  s.governor_clock_changes = st_.governor_clock_changes;
+  s.econ_cost_usd = st_.econ_meter.total_cost_usd();
+  s.econ_capex_usd = st_.econ_meter.capex_usd();
+  s.econ_carbon_g = st_.econ_meter.facility_carbon_g();
+  s.econ_cost_per_job_usd = st_.econ_meter.cost_per_job_usd();
+  s.econ_carbon_per_job_g = st_.econ_meter.carbon_per_job_g();
+  s.econ_jobs_deferred = st_.econ_jobs_deferred;
+  s.econ_price_demotions = st_.econ_price_demotions;
   return s;
 }
 
 void simulator::econ_tick() {
   // Price boundary: re-run the scheduling scan so jobs a defer() verdict
   // held back get another look under the new price. Inert firings (nothing
-  // deferred, nothing startable) deliberately do not touch last_live_t_ —
+  // deferred, nothing startable) deliberately do not touch st_.last_live_t —
   // econ-on/econ-off runs of a never-deferring policy stay byte-identical
   // in the energy columns.
   try_schedule();
   sample_power();
   bool waiting = false;
-  if (econ_meter_.active() && !queue_.empty()) {
+  if (st_.econ_meter.active() && !st_.queue.empty()) {
     const auto view = make_view();
-    for (const auto& qj : queue_)
+    for (const auto& qj : st_.queue)
       if (policy_->defer(qj, view)) {
         waiting = true;
         break;
@@ -1072,31 +1009,21 @@ void simulator::econ_tick() {
   // defer later; same single-cursor discipline as the scrape tick, so the
   // engine's tie-break sequence stays deterministic.
   if (waiting || has_live_work()) {
-    const double next = config_.econ.price.next_change_after(engine_.now());
-    if (next > engine_.now()) {
-      next_econ_t_ = next;
-      next_econ_seq_ = engine_.at(next_econ_t_, [this] { econ_tick(); });
-      return;
-    }
+    const double next = config_.econ.price.next_change_after(now());
+    if (next > now()) schedule(next, event_kind::econ_tick);
   }
-  next_econ_t_ = -1.0;
 }
 
 void simulator::scrape_tick() {
-  last_live_t_ = engine_.now();
-  ++scrape_ticks_;
-  obs::energy_ledger::instance().scrape(engine_.now());
-  if (watchdog_) watchdog_->evaluate(engine_.now());
-  if (scrape_hook_) scrape_hook_(engine_.now());
+  st_.last_live_t = now();
+  ++st_.scrape_ticks;
+  obs::energy_ledger::instance().scrape(now());
+  if (watchdog_) watchdog_->evaluate(now());
+  if (scrape_hook_) scrape_hook_(now());
   // Reschedule only while the run still has live work: keying off engine
   // emptiness would let the scrape and checkpoint tick streams keep each
   // other alive forever.
-  if (has_live_work()) {
-    next_scrape_t_ = engine_.now() + config_.obs_scrape_interval_s;
-    next_scrape_seq_ = engine_.at(next_scrape_t_, [this] { scrape_tick(); });
-  } else {
-    next_scrape_t_ = -1.0;
-  }
+  if (has_live_work()) schedule(now() + config_.obs_scrape_interval_s, event_kind::scrape_tick);
 }
 
 void simulator::attach_observability(std::shared_ptr<obs::slo_watchdog> watchdog,
@@ -1115,7 +1042,6 @@ void simulator::attach_recovery(std::shared_ptr<guarded_planner> guard,
   recovery_guard_ = std::move(guard);
   recovery_registry_ = std::move(registry);
   recovery_manager_ = std::move(manager);
-  recovery_was_quarantined_ = recovery_guard_ && recovery_guard_->quarantined();
   if (recovery_guard_ && recovery_manager_)
     recovery_guard_->set_quarantine_probe_every(
         recovery_manager_->options().quarantine_probe_every);
@@ -1125,7 +1051,7 @@ void simulator::report(std::ostream& os) const {
   common::text_table table;
   table.header({"job", "kernel", "target", "state", "gpus", "wait (s)", "run (s)",
                 "core MHz", "GPU energy (J)"});
-  for (const auto& r : results_) {
+  for (const auto& r : st_.results) {
     const bool ran = r.start_s >= 0.0;
     table.row({std::to_string(r.id), r.kernel, r.target, to_string(r.state),
                std::to_string(r.n_gpus),

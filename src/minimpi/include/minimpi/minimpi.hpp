@@ -154,7 +154,7 @@ class world {
   std::map<mailbox_key, std::deque<message>> mailboxes_;
 
   // Generation-counted collective state.
-  int coll_arrived_{0};
+  int coll_entered_{0};
   std::uint64_t coll_generation_{0};
   double coll_max_vtime_{0.0};
   std::vector<double> coll_values_;

@@ -65,7 +65,7 @@ void communicator::allreduce(std::span<double> values, op operation) {
   std::unique_lock lock(w.mutex_);
   const std::uint64_t my_generation = w.coll_generation_;
 
-  if (w.coll_arrived_ == 0) {
+  if (w.coll_entered_ == 0) {
     w.coll_values_.assign(values.begin(), values.end());
     w.coll_max_vtime_ = vtime_;
   } else {
@@ -80,14 +80,14 @@ void communicator::allreduce(std::span<double> values, op operation) {
     }
     w.coll_max_vtime_ = std::max(w.coll_max_vtime_, vtime_);
   }
-  ++w.coll_arrived_;
+  ++w.coll_entered_;
 
-  if (w.coll_arrived_ == w.n_ranks_) {
+  if (w.coll_entered_ == w.n_ranks_) {
     // Last arrival completes the collective for everyone.
     w.coll_result_ = w.coll_values_;
     w.coll_finish_time_ =
         w.coll_max_vtime_ + w.network_.collective_time(w.n_ranks_, values.size_bytes());
-    w.coll_arrived_ = 0;
+    w.coll_entered_ = 0;
     ++w.coll_generation_;
     w.cv_.notify_all();
   } else {

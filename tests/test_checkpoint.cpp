@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -94,8 +96,9 @@ std::string mutate(const std::string& text, pcg32& rng) {
 }
 
 /// The replay every test here checkpoints: faults AND node chaos enabled, so
-/// the serialized state exercises all event registries (pending faults,
-/// crashes, restarts, requeues) rather than just arrivals and completions.
+/// the serialized state exercises every persisted event kind (pending
+/// faults, crashes, restarts, requeues) rather than just arrivals and
+/// completions.
 sc::cluster_config chaotic_config() {
   sc::cluster_config cc;
   cc.n_nodes = 6;
@@ -151,6 +154,61 @@ class checkpoint_test : public ::testing::Test {
   void SetUp() override { reset_globals(); }
   void TearDown() override { obs::energy_ledger::instance().reset(); }
 };
+
+/// A payload split into lines, with the event records located: the
+/// `events <now> <next_seq> <count>` header is followed by one
+/// `<t> <seq> <kind> <id>` line per pending event.
+struct payload_lines {
+  std::vector<std::string> lines;
+  std::size_t events{0};  ///< index of the events header line
+
+  explicit payload_lines(const std::string& payload) {
+    std::istringstream in{payload};
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    while (events < lines.size() && !lines[events].starts_with("events ")) ++events;
+  }
+  [[nodiscard]] static std::vector<std::string> tokens(const std::string& line) {
+    std::istringstream in{line};
+    std::vector<std::string> out;
+    for (std::string t; in >> t;) out.push_back(t);
+    return out;
+  }
+  [[nodiscard]] std::size_t event_count() const {
+    return std::stoul(tokens(lines.at(events)).at(3));
+  }
+  /// Tokens of the i-th event record.
+  [[nodiscard]] std::vector<std::string> event(std::size_t i) const {
+    return tokens(lines.at(events + 1 + i));
+  }
+  /// Index of the first event record of `kind`, or event_count().
+  [[nodiscard]] std::size_t find(sc::event_kind kind) const {
+    std::size_t i = 0;
+    while (i < event_count() && event(i)[2] != std::to_string(static_cast<int>(kind))) ++i;
+    return i;
+  }
+  void set_event(std::size_t i, const std::vector<std::string>& tok) {
+    lines.at(events + 1 + i) = tok[0] + " " + tok[1] + " " + tok[2] + " " + tok[3];
+  }
+  /// First token after `section` on its header line.
+  [[nodiscard]] std::string first_of(const std::string& section) const {
+    for (const auto& l : lines)
+      if (l.starts_with(section + " ")) return tokens(l).at(1);
+    return {};
+  }
+  [[nodiscard]] std::string join() const {
+    std::string out;
+    for (const auto& l : lines) out += l + "\n";
+    return out;
+  }
+};
+
+/// The 16-hex IEEE-754 token a payload carries for `v`.
+std::string hex_double(double v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
 
 /// Sorted list of checkpoint artefacts in `dir`.
 std::vector<std::filesystem::path> checkpoint_files(const std::filesystem::path& dir) {
@@ -427,6 +485,177 @@ TEST_F(checkpoint_test, CorruptionFuzzMutatedArtefactsFailClosed) {
   // all that fuzzing reproduces the uninterrupted run's job outcomes.
   reset_globals();
   ASSERT_TRUE(victim.restore_checkpoint(payload.value(), trace).ok());
+  const auto summary = victim.resume(trace);
+  EXPECT_EQ(summary.completed + summary.failed, trace.jobs.size());
+
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------- one schema, both ways ----
+
+TEST_F(checkpoint_test, RestoreThenSerializeReproducesEveryArtefact) {
+  const auto trace = chaotic_trace();
+  const auto cc = chaotic_config();
+
+  // The metrics registry is process-global and keeps every instrument it
+  // ever created (zeroed, not removed, on restore). Register them all with
+  // one plain replay first, so every artefact and every re-serialization
+  // lists the same instrument set.
+  {
+    sc::simulator warm{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    (void)warm.run(trace);
+  }
+  reset_globals();
+
+  const auto dir = temp_dir("synergy_ckpt_symmetry");
+  {
+    sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    sc::checkpoint_options opts;
+    opts.interval_s = 20.0;
+    opts.dir = dir;
+    sim.set_checkpointing(std::move(opts));
+    (void)sim.run(trace);
+  }
+  const auto files = checkpoint_files(dir);
+  ASSERT_GE(files.size(), 3u);
+  for (const auto& file : files) {
+    const auto payload = sc::read_checkpoint_payload(file);
+    ASSERT_TRUE(payload.has_value()) << file << ": " << payload.err().message;
+    reset_globals();
+    sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    enable_restore(sim);
+    const auto st = sim.restore_checkpoint(payload.value(), trace);
+    ASSERT_TRUE(st.ok()) << file << ": " << st.err().message;
+    // The writer and the reader walk one schema: whatever the reader
+    // accepted, the writer renders back byte for byte.
+    EXPECT_EQ(sim.serialize_checkpoint(), payload.value()) << file;
+  }
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(checkpoint_test, VersionOneArtefactsFailClosedNamingTheVersion) {
+  const auto trace = chaotic_trace();
+  const auto cc = chaotic_config();
+  const auto dir = temp_dir("synergy_ckpt_v1");
+  sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+  sc::checkpoint_options opts;
+  opts.interval_s = 20.0;
+  opts.dir = dir;
+  sim.set_checkpointing(std::move(opts));
+  (void)sim.run(trace);
+  const auto latest = sc::latest_checkpoint(dir);
+  ASSERT_TRUE(latest.has_value());
+  const auto payload = sc::read_checkpoint_payload(latest.value());
+  ASSERT_TRUE(payload.has_value());
+
+  // An artefact sealed at envelope version 1 still opens (1 <= 2); its v1
+  // payload header must then stop the restore with a diagnostic naming it.
+  std::string v1 = payload.value();
+  ASSERT_EQ(v1.rfind("synergy_ckpt 2\n", 0), 0u);
+  v1.replace(0, 15, "synergy_ckpt 1\n");
+  write_file(dir / "v1.synergy", env::seal(sc::checkpoint_kind, 1, v1));
+  const auto opened = sc::read_checkpoint_payload(dir / "v1.synergy");
+  ASSERT_TRUE(opened.has_value()) << opened.err().message;
+
+  reset_globals();
+  sc::simulator fresh{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+  enable_restore(fresh);
+  const auto st = fresh.restore_checkpoint(opened.value(), trace);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.err().message.find("version 1"), std::string::npos) << st.err().message;
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(checkpoint_test, CorruptionFuzzHostileEventRecordsFailClosed) {
+  const auto trace = chaotic_trace();
+  const auto cc = chaotic_config();
+  const auto dir = temp_dir("synergy_ckpt_events");
+  {
+    sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    sc::checkpoint_options opts;
+    opts.interval_s = 20.0;
+    opts.dir = dir;
+    sim.set_checkpointing(std::move(opts));
+    (void)sim.run(trace);
+  }
+  // The first artefact still has pending arrivals next to the completions.
+  const auto payload = sc::read_checkpoint_payload(checkpoint_files(dir).front());
+  ASSERT_TRUE(payload.has_value());
+  const payload_lines clean{payload.value()};
+  ASSERT_LT(clean.events, clean.lines.size());
+  const std::size_t first_arrival = clean.find(sc::event_kind::arrival);
+  const std::size_t first_completion = clean.find(sc::event_kind::completion);
+  ASSERT_LT(first_arrival + 1, clean.event_count());
+  ASSERT_EQ(clean.event(first_arrival + 1)[2], "0") << "need two pending arrivals";
+  ASSERT_LT(first_completion, clean.event_count());
+  const std::string now = clean.tokens(clean.lines[clean.events]).at(1);
+  const double now_s = std::bit_cast<double>(std::uint64_t{std::stoull(now, nullptr, 16)});
+  ASSERT_GT(now_s, 1.0);
+
+  // Each hostile variant keeps the payload well-formed everywhere else.
+  using edit = void (*)(payload_lines&, std::size_t, std::size_t, double, const std::string&);
+  const std::vector<std::pair<std::string, edit>> variants = {
+      {"unknown event kind",
+       [](payload_lines& p, std::size_t a, std::size_t, double, const std::string&) {
+         auto e = p.event(a);
+         e[2] = "8";  // checkpoint_tick: process-local, never persisted
+         p.set_event(a, e);
+       }},
+      {"arrival index past the trace",
+       [](payload_lines& p, std::size_t a, std::size_t, double, const std::string&) {
+         auto e = p.event(a);
+         e[3] = "80";
+         p.set_event(a, e);
+       }},
+      {"two arrivals for one index",
+       [](payload_lines& p, std::size_t a, std::size_t, double, const std::string&) {
+         auto e = p.event(a + 1);
+         e[3] = p.event(a)[3];
+         p.set_event(a + 1, e);
+       }},
+      {"completion epoch at next_epoch",
+       [](payload_lines& p, std::size_t, std::size_t c, double, const std::string& next_epoch) {
+         auto e = p.event(c);
+         e[3] = next_epoch;
+         p.set_event(c, e);
+       }},
+      {"event before the restored clock",
+       [](payload_lines& p, std::size_t a, std::size_t, double now_s, const std::string&) {
+         auto e = p.event(a);
+         e[0] = hex_double(now_s - 1.0);
+         p.set_event(a, e);
+       }},
+      {"node event for a node the run never had",
+       [](payload_lines& p, std::size_t a, std::size_t, double, const std::string&) {
+         auto e = p.event(a);
+         e[2] = std::to_string(static_cast<int>(sc::event_kind::node_restart));
+         e[3] = "6";  // the cluster has nodes 0..5
+         p.set_event(a, e);
+       }},
+  };
+
+  reset_globals();
+  sc::simulator victim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+  enable_restore(victim);
+  ASSERT_TRUE(victim.restore_checkpoint(payload.value(), trace).ok());
+  const std::string before = victim.serialize_checkpoint();
+
+  for (const auto& [what, apply] : variants) {
+    payload_lines hostile = clean;
+    apply(hostile, first_arrival, first_completion, now_s, clean.first_of("counts"));
+    const std::string bad = hostile.join();
+    ASSERT_NE(bad, payload.value()) << what;
+    const auto st = victim.restore_checkpoint(bad, trace);  // must not throw
+    ASSERT_FALSE(st.ok()) << what;
+    EXPECT_NE(st.err().message.find("events"), std::string::npos)
+        << what << ": " << st.err().message;
+    // Fail-closed: the earlier successful restore is still what it was.
+    EXPECT_EQ(victim.serialize_checkpoint(), before) << what;
+  }
+
+  // And the untouched victim still resumes to the run's full job count.
   const auto summary = victim.resume(trace);
   EXPECT_EQ(summary.completed + summary.failed, trace.jobs.size());
 

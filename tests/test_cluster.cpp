@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "synergy/cluster/simulator.hpp"
+#include "synergy/common/rng.hpp"
 #include "synergy/gpusim/dvfs_model.hpp"
 #include "synergy/workloads/benchmark.hpp"
 
@@ -40,43 +44,56 @@ const sc::job_result& result_for(const sc::simulator& sim, int id) {
   throw std::out_of_range("no such job");
 }
 
+/// Engine handler that records (kind, id) of every fired event.
+struct fired_log {
+  std::vector<std::pair<sc::event_kind, std::uint64_t>> fired;
+  void operator()(const sc::event& e) { fired.emplace_back(e.kind, e.id); }
+};
+
 }  // namespace
 
 // ------------------------------------------------------------------ engine ----
 
 TEST(EventEngine, FiresInTimeOrderRegardlessOfScheduleOrder) {
   sc::event_engine eng;
-  std::vector<int> fired;
-  eng.at(5.0, [&] { fired.push_back(5); });
-  eng.at(1.0, [&] { fired.push_back(1); });
-  eng.at(3.0, [&] { fired.push_back(3); });
+  eng.at(5.0, sc::event_kind::arrival, 5);
+  eng.at(1.0, sc::event_kind::completion, 1);
+  eng.at(3.0, sc::event_kind::scrape_tick);
   EXPECT_EQ(eng.pending(), 3u);
-  EXPECT_EQ(eng.run(), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 3, 5}));
+  std::vector<double> times;
+  std::vector<std::uint64_t> ids;
+  const std::size_t fired = eng.run([&](const sc::event& e) {
+    times.push_back(eng.now());
+    ids.push_back(e.id);
+  });
+  EXPECT_EQ(fired, 3u);
+  EXPECT_EQ(times, (std::vector<double>{1.0, 3.0, 5.0}));
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 0, 5}));
   EXPECT_DOUBLE_EQ(eng.now(), 5.0);
   EXPECT_TRUE(eng.empty());
 }
 
 TEST(EventEngine, EqualTimestampsFireInScheduleOrder) {
   sc::event_engine eng;
+  EXPECT_EQ(eng.at(1.0, sc::event_kind::arrival, 'a'), 0u);
+  EXPECT_EQ(eng.at(1.0, sc::event_kind::arrival, 'b'), 1u);
+  EXPECT_EQ(eng.at(1.0, sc::event_kind::arrival, 'c'), 2u);
   std::vector<char> fired;
-  eng.at(1.0, [&] { fired.push_back('a'); });
-  eng.at(1.0, [&] { fired.push_back('b'); });
-  eng.at(1.0, [&] { fired.push_back('c'); });
-  eng.run();
+  eng.run([&](const sc::event& e) { fired.push_back(static_cast<char>(e.id)); });
   EXPECT_EQ(fired, (std::vector<char>{'a', 'b', 'c'}));
 }
 
 TEST(EventEngine, HandlersMayScheduleFurtherEvents) {
   sc::event_engine eng;
   std::vector<double> times;
-  eng.at(1.0, [&] {
+  eng.at(1.0, sc::event_kind::arrival);
+  eng.run([&](const sc::event& e) {
     times.push_back(eng.now());
-    eng.after(2.0, [&] { times.push_back(eng.now()); });
+    if (e.kind != sc::event_kind::arrival) return;
+    eng.after(2.0, sc::event_kind::completion);
     // Scheduling into the past clamps to now: fires next, not never.
-    eng.at(0.25, [&] { times.push_back(eng.now()); });
+    eng.at(0.25, sc::event_kind::completion);
   });
-  eng.run();
   ASSERT_EQ(times.size(), 3u);
   EXPECT_DOUBLE_EQ(times[0], 1.0);
   EXPECT_DOUBLE_EQ(times[1], 1.0);  // clamped past event
@@ -85,14 +102,53 @@ TEST(EventEngine, HandlersMayScheduleFurtherEvents) {
 
 TEST(EventEngine, RunUntilStopsAtTheFence) {
   sc::event_engine eng;
-  int fired = 0;
-  eng.at(1.0, [&] { ++fired; });
-  eng.at(2.0, [&] { ++fired; });
-  eng.at(10.0, [&] { ++fired; });
-  EXPECT_EQ(eng.run_until(5.0), 2u);
-  EXPECT_EQ(fired, 2);
+  eng.at(1.0, sc::event_kind::arrival);
+  eng.at(2.0, sc::event_kind::arrival);
+  eng.at(10.0, sc::event_kind::arrival);
+  fired_log log;
+  EXPECT_EQ(eng.run_until(5.0, log), 2u);
+  EXPECT_EQ(log.fired.size(), 2u);
   EXPECT_DOUBLE_EQ(eng.now(), 5.0);
   EXPECT_EQ(eng.pending(), 1u);
+}
+
+TEST(EventEngine, ExportedPendingSetFiresIdenticallyAfterImport) {
+  // Equal-time ties scheduled out of time order, some already fired, so the
+  // heap's internal layout differs from schedule order.
+  sc::event_engine eng;
+  eng.at(4.0, sc::event_kind::arrival, 1);
+  eng.at(2.0, sc::event_kind::completion, 2);
+  eng.at(4.0, sc::event_kind::node_restart, 3);
+  eng.at(1.0, sc::event_kind::scrape_tick);
+  eng.at(2.0, sc::event_kind::device_lost, 4);
+  eng.at(4.0, sc::event_kind::completion, 5);
+  eng.at(3.0, sc::event_kind::econ_tick);
+  eng.run_until(1.5, fired_log{});
+
+  const sc::engine_state exported = eng.export_state();
+  EXPECT_DOUBLE_EQ(exported.now, 1.5);
+  EXPECT_EQ(exported.next_seq, 7u);
+  ASSERT_EQ(exported.pending.size(), 6u);
+  for (std::size_t i = 1; i < exported.pending.size(); ++i)
+    EXPECT_LT(exported.pending[i - 1].seq, exported.pending[i].seq);
+
+  sc::event_engine copy;
+  copy.import_state(exported);
+  EXPECT_DOUBLE_EQ(copy.now(), 1.5);
+  EXPECT_EQ(copy.pending(), 6u);
+
+  std::vector<sc::event> a, b;
+  eng.run([&](const sc::event& e) { a.push_back(e); });
+  copy.run([&](const sc::event& e) { b.push_back(e); });
+  EXPECT_EQ(a, b);
+  ASSERT_EQ(b.size(), 6u);
+  EXPECT_EQ(b[0].seq, 1u);  // t=2, scheduled before the device-lost tie
+  EXPECT_EQ(b[1].seq, 4u);
+  EXPECT_EQ(b[3].seq, 0u);  // t=4 ties fire in schedule order: 0, 2, 5
+  EXPECT_EQ(b[4].seq, 2u);
+  EXPECT_EQ(b[5].seq, 5u);
+  // Sequence numbering continues where the exporting engine stopped.
+  EXPECT_EQ(eng.at(9.0, sc::event_kind::arrival), copy.at(9.0, sc::event_kind::arrival));
 }
 
 // ------------------------------------------------------------- trace model ----
@@ -127,6 +183,70 @@ TEST(JobTrace, LoaderRejectsMalformedInput) {
   const auto csv = sc::generate_trace({.n_jobs = 3}).to_csv();
   EXPECT_THROW((void)sc::job_trace::from_csv(csv + "9,bad,0,1,mat_mul,1,1\n"),
                std::invalid_argument);  // short row
+}
+
+TEST(JobTrace, LoaderRejectsPartialAndNonFiniteNumbers) {
+  const std::string head =
+      "# synergy-cluster-trace v1 seed=1 jobs=1\n"
+      "id,name,submit_s,n_gpus,kernel,work_items,iterations,target\n";
+  const auto load = [&](const std::string& row) { return sc::job_trace::from_csv(head + row); };
+  EXPECT_EQ(load("1,a,0.5,2,mat_mul,64,3,ES_50\n").jobs.at(0).n_gpus, 2);
+  for (const char* row : {
+           "1,a,0.5,1abc,mat_mul,64,3,ES_50\n",           // partial integer
+           "1x,a,0.5,1,mat_mul,64,3,ES_50\n",             // partial id
+           "1,a,0.5s,1,mat_mul,64,3,ES_50\n",             // partial double
+           "1,a,0.5,1,mat_mul,inf,3,ES_50\n",             // non-finite work
+           "1,a,0.5,1,mat_mul,nan,3,ES_50\n",             //
+           "1,a,inf,1,mat_mul,64,3,ES_50\n",              // non-finite submit
+           "99999999999,a,0.5,1,mat_mul,64,3,ES_50\n",    // id overflow
+           "1,a,0.5,1,mat_mul,64,99999999999,ES_50\n",    // iterations overflow
+           "1,a,0.5,1,mat_mul,64,,ES_50\n",               // empty field
+           "1,a,0.5, 1,mat_mul,64,3,ES_50\n",             // padded field
+       })
+    EXPECT_THROW((void)load(row), std::invalid_argument) << row;
+  EXPECT_THROW((void)sc::job_trace::from_csv("# synergy-cluster-trace v1 seed=4x2 jobs=0\n"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)sc::job_trace::from_csv("# synergy-cluster-trace v1 seed=99999999999999999999\n"),
+      std::invalid_argument);
+}
+
+TEST(JobTrace, CorruptionFuzzMutatedTracesFailClosedOrRoundTrip) {
+  // Every seeded mutant of a generated trace either throws the documented
+  // std::invalid_argument or parses to a trace that round-trips exactly.
+  sc::trace_config cfg;
+  cfg.n_jobs = 12;
+  cfg.deferrable_fraction = 0.5;
+  const std::string csv = sc::generate_trace(cfg).to_csv();
+  synergy::common::pcg32 rng{0x7ace0001u};
+  std::size_t parsed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string bad = csv;
+    const auto n = static_cast<std::uint32_t>(bad.size());
+    switch (rng.bounded(4)) {
+      case 0: bad[rng.bounded(n)] ^= static_cast<char>(1u << rng.bounded(8)); break;
+      case 1: bad.resize(rng.bounded(n)); break;
+      case 2: {  // a character the numeric and CSV parsers care about
+        constexpr std::string_view alphabet = "0123456789.-+eEinfa, \"\n";
+        bad[rng.bounded(n)] = alphabet[rng.bounded(alphabet.size())];
+        break;
+      }
+      default: {  // splice
+        const auto len = 1 + rng.bounded(n / 8);
+        bad.replace(rng.bounded(n - len), len, csv.substr(rng.bounded(n - len), len));
+        break;
+      }
+    }
+    sc::job_trace trace;
+    try {
+      trace = sc::job_trace::from_csv(bad);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++parsed;
+    EXPECT_EQ(sc::job_trace::from_csv(trace.to_csv()), trace) << "mutant " << i << ":\n" << bad;
+  }
+  EXPECT_GT(parsed, 0u);
 }
 
 TEST(JobTrace, DrawsKernelsFromTheRequestedPool) {
@@ -349,6 +469,27 @@ TEST(Simulator, ReplaysALoadedTraceIdentically) {
   sa.csv(oa);
   sb.csv(ob);
   EXPECT_EQ(oa.str(), ob.str());
+}
+
+TEST(Simulator, RejectsATraceWithADuplicateJobId) {
+  // The third row reuses id 1: replaying it used to exit 0 with that job
+  // left PENDING forever ("3 (2/0)"), because results are looked up by id.
+  const auto trace = sc::job_trace::from_csv(
+      "# synergy-cluster-trace v1 seed=0 jobs=3\n"
+      "id,name,submit_s,n_gpus,kernel,work_items,iterations,target\n"
+      "1,a,0,1,mat_mul,1048576,2,default\n"
+      "2,b,1,1,mat_mul,1048576,2,default\n"
+      "1,c,2,1,mat_mul,1048576,2,default\n");
+  sc::cluster_config cc;
+  cc.n_nodes = 1;
+  cc.gpus_per_node = 2;
+  sc::simulator sim{cc, sc::make_fifo()};
+  try {
+    (void)sim.run(trace);
+    FAIL() << "duplicate job id accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate job id 1"), std::string::npos) << e.what();
+  }
 }
 
 // ------------------------------------------------------- trace robustness ----
