@@ -9,8 +9,28 @@
 /// The arrival rate scales with the GPU count so every cluster sees the
 /// same offered load per GPU; each scale replays one fixed-seed trace under
 /// all five schedulers, so rows differ only by policy.
+///
+/// The second part is a jobs axis for the replay itself: EASY backfill on
+/// 16x4 V100s at stable load (2 s mean interarrival; 62.5k, 250k and 10^6
+/// jobs) and congested load (0.5 s; 2k, 8k and 32k jobs), reporting wall
+/// time, jobs/s, events/s, place() calls per job and peak RSS. The results
+/// go to BENCH_cluster_replay.json at the source root (or --out PATH). The
+/// run exits 1 unless the stable-load replay scales roughly linearly:
+/// wall(10^6 jobs) <= 5 x wall(250k jobs), where linear is 4x. The
+/// congested rows are reported, not gated.
+///
+///   extra_cluster_scaling [--out PATH]
 
+#include <sys/resource.h>
+
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,9 +50,130 @@ struct policy_case {
   std::optional<sm::target> target;
 };
 
-}  // namespace
+/// Forwarding policy that counts place() calls.
+class counting_policy final : public sc::scheduling_policy {
+ public:
+  explicit counting_policy(std::unique_ptr<sc::scheduling_policy> inner)
+      : inner_(std::move(inner)) {}
 
-int main() {
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool backfills() const override { return inner_->backfills(); }
+  std::optional<sc::placement> place(const sc::queued_job& job,
+                                     const sc::cluster_view& view) override {
+    ++calls;
+    return inner_->place(job, view);
+  }
+
+  std::size_t calls{0};
+
+ private:
+  std::unique_ptr<sc::scheduling_policy> inner_;
+};
+
+/// A load level of the jobs axis: one trace seed, three sizes.
+struct regime {
+  const char* name;
+  double interarrival_s;
+  std::size_t jobs[3];
+};
+
+constexpr std::uint64_t replay_seed = 2023;
+constexpr regime congested{"congested", 0.5, {2000, 8000, 32000}};
+constexpr regime stable{"stable", 2.0, {62500, 250000, 1000000}};
+
+/// One timed replay of the jobs axis.
+struct replay_row {
+  std::string regime;
+  double interarrival_s{0.0};
+  std::size_t jobs{0};
+  std::size_t completed{0};
+  double wall_s{0.0};
+  std::uint64_t events{0};
+  double place_calls_per_job{0.0};
+  double peak_rss_mb{0.0};
+};
+
+/// Process peak RSS so far; rows run in ascending size, so each row's value
+/// is (to within the smaller rows before it) that replay's own peak.
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+replay_row time_replay(const sc::cluster_config& cc, const regime& load, std::size_t n_jobs) {
+  sc::trace_config tc;
+  tc.seed = replay_seed;
+  tc.n_jobs = n_jobs;
+  tc.mean_interarrival_s = load.interarrival_s;
+  const auto trace = sc::generate_trace(tc);
+
+  auto counter = std::make_unique<counting_policy>(sc::make_easy_backfill());
+  const counting_policy& policy = *counter;
+  sc::simulator sim{cc, std::move(counter)};
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto summary = sim.run(trace);
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
+
+  replay_row row{load.name, load.interarrival_s, n_jobs};
+  row.completed = summary.completed;
+  row.wall_s = wall.count();
+  row.events = sim.events_scheduled();
+  row.place_calls_per_job = static_cast<double>(policy.calls) / static_cast<double>(n_jobs);
+  row.peak_rss_mb = peak_rss_mb();
+  return row;
+}
+
+/// HEAD of the source tree, suffixed "-dirty" when it has uncommitted changes.
+std::string git_sha() {
+  std::string sha;
+  const char* cmd =
+      "git -C \"" SYNERGY_SOURCE_DIR "\" describe --always --dirty --abbrev=40 2>/dev/null";
+  if (FILE* p = popen(cmd, "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof buf, p)) sha = buf;
+    pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+  return sha.empty() ? "unknown" : sha;
+}
+
+void write_json(const std::filesystem::path& out, const sc::cluster_config& cc,
+                const std::vector<replay_row>& rows, double ratio, double max_ratio,
+                bool passed) {
+  std::ofstream os{out};
+  os.precision(10);
+  const auto regime_json = [&](const regime& r) {
+    os << "\"" << r.name << "\": {\"interarrival_s\": " << r.interarrival_s << ", \"jobs\": ["
+       << r.jobs[0] << ", " << r.jobs[1] << ", " << r.jobs[2] << "]}";
+  };
+  os << "{\n  \"bench\": \"cluster_replay\",\n  \"git_sha\": \"" << git_sha()
+     << "\",\n  \"build_type\": \"" << SYNERGY_BUILD_TYPE << "\",\n"
+     << "  \"workload\": {\"device\": \"" << cc.device << "\", \"nodes\": " << cc.n_nodes
+     << ", \"gpus_per_node\": " << cc.gpus_per_node
+     << ", \"policy\": \"backfill\", \"trace_seed\": " << replay_seed << ", \"regimes\": {";
+  regime_json(stable);
+  os << ", ";
+  regime_json(congested);
+  os << "}},\n"
+     << "  \"metrics\": {\n    \"stable_wall_ratio_1m_over_250k\": " << ratio
+     << ",\n    \"stable_wall_ratio_max\": " << max_ratio
+     << ",\n    \"gate_passed\": " << (passed ? "true" : "false") << ",\n    \"rows\": [";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& r = rows[i];
+    os << (i ? "," : "") << "\n      {\"regime\": \"" << r.regime
+       << "\", \"interarrival_s\": " << r.interarrival_s << ", \"jobs\": " << r.jobs
+       << ", \"completed\": " << r.completed << ", \"wall_s\": " << r.wall_s
+       << ", \"jobs_per_s\": " << static_cast<double>(r.jobs) / r.wall_s
+       << ", \"events\": " << r.events
+       << ", \"events_per_s\": " << static_cast<double>(r.events) / r.wall_s
+       << ", \"place_calls_per_job\": " << r.place_calls_per_job
+       << ", \"peak_rss_mb\": " << r.peak_rss_mb << "}";
+  }
+  os << "\n    ]\n  }\n}\n";
+}
+
+void policy_table() {
   const std::string device = "V100";
   const auto plan = sc::make_suite_planner(device);
 
@@ -100,5 +241,49 @@ int main() {
   std::cout << "\nnote: 'vs fifo' columns normalise to the FIFO row of the same scale;\n"
                "the ES_50 policy must stay below 1.0 on energy within 1.10 on makespan\n"
                "(the repository's acceptance bar for this bench).\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::filesystem::path out =
+      std::filesystem::path{SYNERGY_SOURCE_DIR} / "BENCH_cluster_replay.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--out" && i + 1 < argc) {
+      out = argv[++i];
+    } else {
+      std::cerr << "usage: extra_cluster_scaling [--out PATH]\n";
+      return 2;
+    }
+  }
+
+  policy_table();
+
+  synergy::common::print_banner(std::cout, "Cluster replay throughput: EASY backfill, 16x4 V100");
+  const sc::cluster_config cc;  // 16x4 V100
+  std::vector<replay_row> rows;
+  for (const regime* load : {&congested, &stable})
+    for (const std::size_t n : load->jobs) rows.push_back(time_replay(cc, *load, n));
+
+  text_table table;
+  table.header({"load", "jobs", "completed", "wall (s)", "jobs/s", "events/s", "place()/job",
+                "peak RSS (MiB)"});
+  for (const auto& r : rows)
+    table.row({r.regime, std::to_string(r.jobs), std::to_string(r.completed),
+               text_table::fmt(r.wall_s, 3),
+               text_table::fmt(static_cast<double>(r.jobs) / r.wall_s, 0),
+               text_table::fmt(static_cast<double>(r.events) / r.wall_s, 0),
+               text_table::fmt(r.place_calls_per_job, 2), text_table::fmt(r.peak_rss_mb, 1)});
+  table.print(std::cout);
+
+  constexpr double max_ratio = 5.0;
+  // The last two rows are stable load at 250k and 10^6 jobs.
+  const double ratio = rows.back().wall_s / rows[rows.size() - 2].wall_s;
+  const bool passed = ratio <= max_ratio;
+  write_json(out, cc, rows, ratio, max_ratio, passed);
+  std::cout << "\nstable load: wall(1M) / wall(250k) = " << text_table::fmt(ratio, 2)
+            << " (linear: 4.00, gate: <= " << text_table::fmt(max_ratio, 2) << ") -> "
+            << (passed ? "PASS" : "FAIL") << "\nwrote " << out.string() << '\n';
+  return passed ? 0 : 1;
 }

@@ -410,11 +410,17 @@ common::status simulator::restore_checkpoint(const std::string& payload,
     return reject("node/slot tables inconsistent");
   for (const auto& row : s.slots)
     if (row.size() != config_.gpus_per_node) return reject("GPU slot row width mismatch");
+  // arrive() counts crashed nodes still due back (crashes - restarts).
+  if (s.node_restarts > s.node_crashes) return reject("counts: more node restarts than crashes");
   if (s.results.size() != trace.jobs.size()) return reject("per-job result count mismatch");
   for (std::size_t i = 0; i < s.results.size(); ++i)
     if (s.results[i].id != trace.jobs[i].id) return reject("job id order mismatch");
-  std::set<int> ids;
-  for (const auto& job : trace.jobs) ids.insert(job.id);
+  try {
+    s.result_index = index_job_ids(trace);
+  } catch (const std::invalid_argument& e) {
+    return reject(e.what());
+  }
+  const auto& ids = s.result_index;
   for (const auto& qj : s.queue)
     if (!ids.contains(qj.job.id)) return reject("queued job id not in the trace");
   for (const auto& rj : s.running) {

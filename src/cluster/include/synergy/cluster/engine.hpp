@@ -99,6 +99,8 @@ class event_engine {
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// Events scheduled so far: the sequence counter.
+  [[nodiscard]] std::uint64_t scheduled() const { return next_seq_; }
 
   /// The clock, the sequence counter and every pending event, sorted by
   /// sequence number (a canonical order, independent of heap layout).

@@ -11,7 +11,8 @@
 ///    queue (the baseline every HPC scheduler paper compares against).
 ///  - easy_backfill: the head gets a reservation at the earliest time
 ///    enough GPUs drain (the EASY shadow time); later jobs may jump ahead
-///    iff their estimated completion does not cross that reservation.
+///    iff their estimated completion does not cross that reservation. The
+///    simulator applies that window for every policy that backfills().
 ///  - energy_aware: EASY's queue discipline, plus placement that prefers
 ///    frequency-capable nodes (the paper's Sec. 7.2 check chain decides
 ///    capability) and a per-job frequency plan resolved from the kernel's
@@ -44,28 +45,23 @@ struct gpu_slot {
   friend bool operator==(const gpu_slot&, const gpu_slot&) = default;
 };
 
-/// Occupancy snapshot a policy sees (built by the simulator each round).
+/// Occupancy snapshot a policy sees. The simulator builds it once per
+/// scheduling scan — occupancy cannot change within a scan — and again after
+/// every placement.
 struct cluster_view {
   struct node_view {
-    std::string name;
     /// The Sec. 7.2 prologue chain outcome for this node: tagged with the
     /// nvgpufreq GRES, management library loadable. Placement on a node
     /// that fails the chain runs at default clocks.
     bool freq_capable{false};
     std::vector<bool> gpu_busy;
-    /// Modelled completion time of the job holding each GPU (= now when
-    /// the GPU is free).
-    std::vector<double> busy_until;
   };
 
   double now{0.0};
   std::vector<node_view> nodes;
   /// True while the policy is asked about the queue head; false for
-  /// backfill candidates behind a blocked head.
+  /// backfill candidates behind it.
   bool is_head{true};
-  /// EASY shadow time: earliest instant enough GPUs drain for the blocked
-  /// head (+inf when the head is not blocked or unknown).
-  double head_reservation_s{0.0};
 
   [[nodiscard]] std::size_t free_gpus() const;
 };
@@ -95,17 +91,27 @@ class scheduling_policy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Decide whether `job` may start now and where. Empty optional leaves
-  /// it queued for the next round.
+  /// it queued for the next round. The simulator filters before asking:
+  /// place() is only offered jobs that defer() let through, that need no
+  /// more GPUs than `view` has free, and — behind the head of a backfilling
+  /// policy — whose estimated completion does not cross the head's EASY
+  /// reservation. A policy therefore only chooses slots and clocks.
   [[nodiscard]] virtual std::optional<placement> place(const queued_job& job,
                                                        const cluster_view& view) = 0;
 
-  /// Whether jobs behind a blocked head may be offered to place().
+  /// Whether jobs behind the queue head may be offered to place(). The
+  /// simulator enforces the EASY window for them: the head holds a
+  /// reservation at the earliest instant enough GPUs drain (its shadow
+  /// time, computed once per scan), and a candidate is offered only if its
+  /// default-clock runtime estimate ends by then, so the head is never
+  /// delayed.
   [[nodiscard]] virtual bool backfills() const { return false; }
 
-  /// Econ hook, asked before place(): true leaves `job` queued for a
-  /// cheaper/cleaner price window. The simulator re-asks at every price
-  /// boundary (its econ tick), so a policy only answers "not now", never
-  /// schedules a wake-up itself. Default: nothing defers.
+  /// Econ hook, asked first — of every entry the scan reaches, in queue
+  /// order, before any capacity or reservation filter: true leaves `job`
+  /// queued for a cheaper/cleaner price window. The simulator re-asks at
+  /// every price boundary (its econ tick), so a policy only answers "not
+  /// now", never schedules a wake-up itself. Default: nothing defers.
   [[nodiscard]] virtual bool defer(const queued_job& job, const cluster_view& view) const {
     (void)job;
     (void)view;

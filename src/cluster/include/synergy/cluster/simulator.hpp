@@ -24,6 +24,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -340,6 +341,9 @@ struct run_state {
   /// Pending arrival, device-lost, crash and restart events: the live work
   /// has_live_work() keys off (recounted from the events on restore).
   std::size_t live_events{0};
+  /// Job id -> index into `results`, which is also the job's trace index
+  /// (restore checks the alignment), so lookups by id are O(1).
+  std::unordered_map<int, std::size_t> result_index;
   bool recovery_was_quarantined{false};
   std::vector<std::pair<double, double>> power_samples;
 };
@@ -355,6 +359,9 @@ class simulator {
   run_summary run(const job_trace& trace);
 
   [[nodiscard]] const std::vector<job_result>& results() const { return st_.results; }
+  /// The result row of job `job_id` (O(1)); throws std::out_of_range when
+  /// the replayed trace has no such job.
+  [[nodiscard]] const job_result& result(int job_id) const;
 
   /// Modelled facility power sampled after every event, as (time, watts)
   /// pairs — the budget test asserts every sample respects the cap.
@@ -435,6 +442,9 @@ class simulator {
   [[nodiscard]] const econ::cost_meter& econ_meter() const { return st_.econ_meter; }
   /// Checkpoint files written by this simulator so far.
   [[nodiscard]] std::uint64_t checkpoints_written() const { return st_.ckpt_index; }
+  /// Events the replay has scheduled (restored across resume); once run()
+  /// returns, every one of them has fired.
+  [[nodiscard]] std::uint64_t events_scheduled() const { return st_.engine.scheduled(); }
 
   /// Print the per-job sacct-style table of the last run.
   void report(std::ostream& os) const;
@@ -453,7 +463,8 @@ class simulator {
   void schedule(double t, event_kind kind, std::uint64_t id = 0);
   /// Fire one event: the single dispatch point of the simulation.
   void dispatch(const event& e);
-  void arrive(const traced_job& job);
+  /// Arrival of the job at `index` in the trace.
+  void arrive(std::size_t index);
   void complete(std::uint64_t epoch);
   /// A GPU on node `number` fell off the bus: requeue every job running
   /// there, drain and remove the node, shrink the inventory.
@@ -508,6 +519,8 @@ class simulator {
   /// single self-rescheduling tick (scrape pattern).
   void econ_tick();
   [[nodiscard]] job_result& result_of(int job_id);
+  /// Job id -> trace index; throws std::invalid_argument on a repeated id.
+  [[nodiscard]] static std::unordered_map<int, std::size_t> index_job_ids(const job_trace& trace);
   [[nodiscard]] double now() const { return st_.engine.now(); }
 
   cluster_config config_;

@@ -32,32 +32,24 @@ std::vector<std::size_t> index_order(std::size_t n) {
   return order;
 }
 
-class fifo_policy final : public scheduling_policy {
+/// First-fit over nodes in index order at driver-default clocks: strict
+/// FIFO, or EASY backfill when `backfill` is set (the simulator applies the
+/// EASY window before offering a candidate).
+class first_fit_policy final : public scheduling_policy {
  public:
-  [[nodiscard]] std::string name() const override { return "fifo"; }
+  explicit first_fit_policy(bool backfill) : backfill_(backfill) {}
+
+  [[nodiscard]] std::string name() const override { return backfill_ ? "backfill" : "fifo"; }
+  [[nodiscard]] bool backfills() const override { return backfill_; }
 
   std::optional<placement> place(const queued_job& job, const cluster_view& view) override {
-    if (!view.is_head) return std::nullopt;  // strict arrival order
     auto slots = first_fit(view, index_order(view.nodes.size()), job.job.n_gpus);
     if (!slots) return std::nullopt;
     return placement{std::move(*slots), std::nullopt};
   }
-};
 
-class easy_backfill_policy final : public scheduling_policy {
- public:
-  [[nodiscard]] std::string name() const override { return "backfill"; }
-  [[nodiscard]] bool backfills() const override { return true; }
-
-  std::optional<placement> place(const queued_job& job, const cluster_view& view) override {
-    // EASY: a backfill candidate may start only if it finishes before the
-    // head's reservation (shadow time), so the head is never delayed.
-    if (!view.is_head && view.now + job.est_runtime_s > view.head_reservation_s)
-      return std::nullopt;
-    auto slots = first_fit(view, index_order(view.nodes.size()), job.job.n_gpus);
-    if (!slots) return std::nullopt;
-    return placement{std::move(*slots), std::nullopt};
-  }
+ private:
+  bool backfill_;
 };
 
 class energy_aware_policy : public scheduling_policy {
@@ -69,9 +61,6 @@ class energy_aware_policy : public scheduling_policy {
   [[nodiscard]] bool backfills() const override { return true; }
 
   std::optional<placement> place(const queued_job& job, const cluster_view& view) override {
-    if (!view.is_head && view.now + job.est_runtime_s > view.head_reservation_s)
-      return std::nullopt;
-
     // Prefer frequency-capable nodes, then emptier ones, so tunable jobs
     // land where the Sec. 7.2 chain grants clock privileges; ties resolve
     // by index for determinism.
@@ -157,10 +146,10 @@ std::size_t cluster_view::free_gpus() const {
   return n;
 }
 
-std::unique_ptr<scheduling_policy> make_fifo() { return std::make_unique<fifo_policy>(); }
+std::unique_ptr<scheduling_policy> make_fifo() { return std::make_unique<first_fit_policy>(false); }
 
 std::unique_ptr<scheduling_policy> make_easy_backfill() {
-  return std::make_unique<easy_backfill_policy>();
+  return std::make_unique<first_fit_policy>(true);
 }
 
 std::unique_ptr<scheduling_policy> make_energy_aware(

@@ -9,6 +9,7 @@
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "synergy/common/checksum.hpp"
 #include "synergy/common/csv.hpp"
@@ -111,12 +112,24 @@ void simulator::rebuild_controller() {
 
 simulator::~simulator() = default;
 
+const job_result& simulator::result(int job_id) const {
+  const auto it = st_.result_index.find(job_id);
+  if (it == st_.result_index.end()) throw std::out_of_range("simulator: unknown job id");
+  return st_.results[it->second];
+}
+
 job_result& simulator::result_of(int job_id) {
-  const auto it =
-      std::find_if(st_.results.begin(), st_.results.end(),
-                   [job_id](const job_result& r) { return r.id == job_id; });
-  if (it == st_.results.end()) throw std::out_of_range("simulator: unknown job id");
-  return *it;
+  return const_cast<job_result&>(std::as_const(*this).result(job_id));
+}
+
+std::unordered_map<int, std::size_t> simulator::index_job_ids(const job_trace& trace) {
+  std::unordered_map<int, std::size_t> index;
+  index.reserve(trace.jobs.size());
+  for (std::size_t i = 0; i < trace.jobs.size(); ++i)
+    if (!index.emplace(trace.jobs[i].id, i).second)
+      throw std::invalid_argument("simulator: duplicate job id " +
+                                  std::to_string(trace.jobs[i].id) + " in trace");
+  return index;
 }
 
 cluster_view simulator::make_view() const {
@@ -128,18 +141,13 @@ cluster_view simulator::make_view() const {
   for (std::size_t i = 0; i < st_.slots.size(); ++i) {
     const auto& n = ctl_->node_at(i);
     cluster_view::node_view nv;
-    nv.name = n.name();
     // The Sec. 7.2 prologue chain, evaluated for this simulated node: the
     // controller is reachable (we are it), jobs own their GPUs exclusively
     // by construction, so capability reduces to the node-side checks.
     nv.freq_capable =
         n.has_gres(sched::nvgpufreq_plugin::gres_tag) && n.config().nvml_available;
     nv.gpu_busy.reserve(config_.gpus_per_node);
-    nv.busy_until.reserve(config_.gpus_per_node);
-    for (const auto& s : st_.slots[i]) {
-      nv.gpu_busy.push_back(s.busy);
-      nv.busy_until.push_back(s.busy ? s.busy_until : view.now);
-    }
+    for (const auto& s : st_.slots[i]) nv.gpu_busy.push_back(s.busy);
     view.nodes.push_back(std::move(nv));
   }
   return view;
@@ -198,7 +206,8 @@ void simulator::sample_power() {
   st_.power_samples.emplace_back(now(), w);
 }
 
-void simulator::arrive(const traced_job& job) {
+void simulator::arrive(std::size_t index) {
+  const traced_job& job = trace_->jobs[index];
   st_.last_live_t = now();
   integrate_to_now();
   SYNERGY_COUNTER_ADD("cluster.arrivals", 1);
@@ -206,9 +215,12 @@ void simulator::arrive(const traced_job& job) {
                   {"id", static_cast<double>(job.id)},
                   {"n_gpus", static_cast<double>(job.n_gpus)});
 
-  auto& r = result_of(job.id);
-  const std::size_t total_gpus = st_.slots.size() * config_.gpus_per_node;
-  if (static_cast<std::size_t>(job.n_gpus) > total_gpus) {
+  auto& r = st_.results[index];
+  // Crashed nodes due back from a warm restart count towards the fleet: a
+  // job sized for it waits for them. Permanent losses shrink it for good.
+  std::size_t fleet_nodes = st_.slots.size();
+  if (config_.chaos.restart_delay_s > 0.0) fleet_nodes += st_.node_crashes - st_.node_restarts;
+  if (static_cast<std::size_t>(job.n_gpus) > fleet_nodes * config_.gpus_per_node) {
     r.state = sched::job_state::failed;
     r.failure_reason = "requests more GPUs than the cluster has";
     SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
@@ -742,25 +754,37 @@ void simulator::node_restart(std::uint64_t number) {
 }
 
 void simulator::try_schedule() {
+  const bool backfills = policy_->backfills();
   bool progressed = true;
   while (progressed && !st_.queue.empty()) {
     progressed = false;
+    // Occupancy only changes when a job starts, which ends the scan; until
+    // then the view, the free-GPU count and the head's EASY reservation
+    // (its shadow time, held even while the head itself defers) are fixed.
     auto view = make_view();
+    const std::size_t free_gpus = view.free_gpus();
+    const double reservation =
+        backfills && st_.queue.size() > 1 ? shadow_time(st_.queue[0].job.n_gpus) : inf;
     for (std::size_t i = 0; i < st_.queue.size(); ++i) {
-      if (i > 0 && !policy_->backfills()) break;
+      if (i > 0 && !backfills) break;
+      const queued_job& qj = st_.queue[i];
       view.is_head = (i == 0);
-      view.head_reservation_s = (i == 0) ? inf : shadow_time(st_.queue[0].job.n_gpus);
-      if (st_.econ_meter.active() && policy_->defer(st_.queue[i], view)) {
+      if (st_.econ_meter.active() && policy_->defer(qj, view)) {
         // The policy holds this job for a cheaper window; the econ tick
         // re-runs this scan at the next price boundary. Counted per
         // deferral episode (a requeued job may defer again).
-        if (st_.econ_deferred_ids.insert(st_.queue[i].job.id).second) {
+        if (st_.econ_deferred_ids.insert(qj.job.id).second) {
           ++st_.econ_jobs_deferred;
           SYNERGY_COUNTER_ADD("cluster.econ_deferrals", 1);
         }
         continue;
       }
-      auto pl = policy_->place(st_.queue[i], view);
+      // Jobs that cannot start now never reach the policy: too few free
+      // GPUs, or a backfill candidate that would still run at the head's
+      // reservation.
+      if (static_cast<std::size_t>(qj.job.n_gpus) > free_gpus) continue;
+      if (i > 0 && view.now + qj.est_runtime_s > reservation) continue;
+      auto pl = policy_->place(qj, view);
       if (!pl) continue;
       auto config = pl->config.value_or(spec_.default_config());
       // Price-threshold clock demotion: while the spot price sits above
@@ -780,11 +804,11 @@ void simulator::try_schedule() {
         }
       }
       bool demoted = false;
-      if (!admit(st_.queue[i].job, config, demoted)) continue;  // defer under the cap
+      if (!admit(qj.job, config, demoted)) continue;  // defer under the cap
       if (demoted) {
         budget_->count_demotion();
         SYNERGY_COUNTER_ADD("cluster.cap_demotions", 1);
-        result_of(st_.queue[i].job.id).demoted = true;
+        result_of(qj.job.id).demoted = true;
       }
       if (price_demoted) {
         pl->plan_cause = obs::cause::econ_price_demoted;
@@ -816,7 +840,7 @@ void simulator::schedule(double t, event_kind kind, std::uint64_t id) {
 void simulator::dispatch(const event& e) {
   if (is_live(e.kind)) --st_.live_events;
   switch (e.kind) {
-    case event_kind::arrival: arrive(trace_->jobs[e.id]); break;
+    case event_kind::arrival: arrive(e.id); break;
     case event_kind::completion: complete(e.id); break;
     case event_kind::governor_tick: governor_tick(e.id); break;
     case event_kind::device_lost: device_lost(e.id); break;
@@ -846,18 +870,13 @@ run_state simulator::fresh_state() const {
 run_summary simulator::run(const job_trace& trace) {
   // result_of() resolves jobs by id, so a repeated id would silently leave
   // the second job pending forever.
-  std::vector<int> ids;
-  ids.reserve(trace.jobs.size());
-  for (const auto& job : trace.jobs) ids.push_back(job.id);
-  std::sort(ids.begin(), ids.end());
-  if (const auto dup = std::adjacent_find(ids.begin(), ids.end()); dup != ids.end())
-    throw std::invalid_argument("simulator: duplicate job id " + std::to_string(*dup) +
-                                " in trace");
+  auto result_index = index_job_ids(trace);
 
   // Reset per-run state so one simulator can replay several traces. A
   // previous faulty run may have removed nodes — restore the full inventory.
   if (ctl_->node_count() != config_.n_nodes) rebuild_controller();
   st_ = fresh_state();
+  st_.result_index = std::move(result_index);
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
   trace_ = &trace;
   trace_crc_ = 0;

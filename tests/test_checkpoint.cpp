@@ -661,3 +661,43 @@ TEST_F(checkpoint_test, CorruptionFuzzHostileEventRecordsFailClosed) {
 
   std::filesystem::remove_all(dir);
 }
+
+TEST_F(checkpoint_test, RestoreRejectsMoreNodeRestartsThanCrashes) {
+  // Arrivals count crashed nodes still due back (crashes - restarts)
+  // towards the fleet, so restore refuses counts that would wrap that.
+  const auto trace = chaotic_trace();
+  const auto cc = chaotic_config();
+  const auto dir = temp_dir("synergy_ckpt_counts");
+  {
+    sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    sc::checkpoint_options opts;
+    opts.interval_s = 20.0;
+    opts.dir = dir;
+    sim.set_checkpointing(std::move(opts));
+    (void)sim.run(trace);
+  }
+  const auto payload = sc::read_checkpoint_payload(checkpoint_files(dir).back());
+  ASSERT_TRUE(payload.has_value());
+  payload_lines hostile{payload.value()};
+  auto counts = std::find_if(hostile.lines.begin(), hostile.lines.end(),
+                             [](const std::string& l) { return l.starts_with("counts "); });
+  ASSERT_NE(counts, hostile.lines.end());
+  // counts <next_epoch> <clock_set_faults> <degraded> <requeues> <nodes_lost>
+  //        <node_crashes> <node_restarts> ...
+  auto tok = payload_lines::tokens(*counts);
+  ASSERT_GT(tok.size(), 7u);
+  tok[7] = std::to_string(std::stoull(tok[6]) + 1);
+  std::string line = tok[0];
+  for (std::size_t i = 1; i < tok.size(); ++i) line += " " + tok[i];
+  *counts = line;
+
+  reset_globals();
+  sc::simulator victim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+  enable_restore(victim);
+  ASSERT_TRUE(victim.restore_checkpoint(payload.value(), trace).ok());
+  const auto st = victim.restore_checkpoint(hostile.join(), trace);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.err().message.find("more node restarts than crashes"), std::string::npos)
+      << st.err().message;
+  std::filesystem::remove_all(dir);
+}

@@ -4,16 +4,29 @@
 // reproducibility of the summary CSV.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <limits>
+#include <map>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "synergy/cluster/checkpoint.hpp"
 #include "synergy/cluster/simulator.hpp"
 #include "synergy/common/rng.hpp"
 #include "synergy/gpusim/dvfs_model.hpp"
+#include "synergy/obs/energy_ledger.hpp"
+#include "synergy/telemetry/metrics_registry.hpp"
 #include "synergy/workloads/benchmark.hpp"
 
 namespace sc = synergy::cluster;
@@ -36,12 +49,6 @@ sc::traced_job make_job(int id, double submit_s, int n_gpus, int iterations,
   j.iterations = iterations;
   j.target = target;
   return j;
-}
-
-const sc::job_result& result_for(const sc::simulator& sim, int id) {
-  for (const auto& r : sim.results())
-    if (r.id == id) return r;
-  throw std::out_of_range("no such job");
 }
 
 /// Engine handler that records (kind, id) of every fired event.
@@ -280,10 +287,10 @@ TEST(Policies, FifoHeadBlocksBackfillDoesNot) {
   for (const auto* sim : {&fifo, &easy})
     for (const auto& r : sim->results()) EXPECT_EQ(r.state, ss::job_state::completed);
 
-  EXPECT_GT(result_for(fifo, 3).queue_wait_s, 0.0);       // stuck behind B
-  EXPECT_DOUBLE_EQ(result_for(easy, 3).queue_wait_s, 0.0);  // backfilled
+  EXPECT_GT(fifo.result(3).queue_wait_s, 0.0);         // stuck behind B
+  EXPECT_DOUBLE_EQ(easy.result(3).queue_wait_s, 0.0);  // backfilled
   // The head is never delayed by the backfill.
-  EXPECT_DOUBLE_EQ(result_for(easy, 2).start_s, result_for(fifo, 2).start_s);
+  EXPECT_DOUBLE_EQ(easy.result(2).start_s, fifo.result(2).start_s);
 }
 
 TEST(Policies, EnergyAwareRunsLowerClocksAndSavesEnergy) {
@@ -388,8 +395,8 @@ TEST(PowerBudget, ImpossibleJobsFailInsteadOfStarvingTheQueue) {
   cc.gpus_per_node = 2;
   sc::simulator sim{cc, sc::make_fifo()};
   const auto summary = sim.run(trace);
-  EXPECT_EQ(result_for(sim, 1).state, ss::job_state::failed);
-  EXPECT_EQ(result_for(sim, 2).state, ss::job_state::completed);
+  EXPECT_EQ(sim.result(1).state, ss::job_state::failed);
+  EXPECT_EQ(sim.result(2).state, ss::job_state::completed);
   EXPECT_EQ(summary.failed, 1u);
 
   // A cap below the job's minimum draw also fails it at arrival.
@@ -398,8 +405,8 @@ TEST(PowerBudget, ImpossibleJobsFailInsteadOfStarvingTheQueue) {
   hot.jobs = {make_job(1, 0.0, 2, 50)};
   sc::simulator capped{cc, sc::make_fifo()};
   capped.run(hot);
-  EXPECT_EQ(result_for(capped, 1).state, ss::job_state::failed);
-  EXPECT_FALSE(result_for(capped, 1).failure_reason.empty());
+  EXPECT_EQ(capped.result(1).state, ss::job_state::failed);
+  EXPECT_FALSE(capped.result(1).failure_reason.empty());
 }
 
 // ----------------------------------------------------------- reproducibility ----
@@ -436,7 +443,7 @@ TEST(Simulator, ChargesEnergyThroughTheGpusimModel) {
   cc.gpus_per_node = 2;
   sc::simulator sim{cc, sc::make_fifo()};
   sim.run(trace);
-  const auto& r = result_for(sim, 1);
+  const auto& r = sim.result(1);
   ASSERT_EQ(r.state, ss::job_state::completed);
 
   // Recompute the job's cost from the public gpusim model at the clocks it
@@ -674,4 +681,413 @@ TEST(Faults, FaultFreeRunReportsZeroFaultCounters) {
   EXPECT_EQ(summary.requeues, 0u);
   EXPECT_EQ(summary.nodes_lost, 0u);
   EXPECT_DOUBLE_EQ(summary.wasted_gpu_energy_j, 0.0);
+}
+
+// ------------------------------------------------- scheduling-pass parity ----
+
+namespace {
+
+/// FNV-1a over a byte stream; doubles enter as their IEEE bit patterns, so
+/// any change in any job's outcome shows in the digest.
+class fnv_digest {
+ public:
+  fnv_digest& add(std::string_view s) {
+    for (const unsigned char c : s) h_ = (h_ ^ c) * 0x100000001b3ULL;
+    return *this;
+  }
+  fnv_digest& add(double d) { return add(std::bit_cast<std::uint64_t>(d)); }
+  fnv_digest& add(std::uint64_t u) { return add(hex(u)); }
+  [[nodiscard]] std::string str() const { return hex(h_); }
+
+ private:
+  static std::string hex(std::uint64_t u) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(u));
+    return buf;
+  }
+  std::uint64_t h_{0xcbf29ce484222325ULL};
+};
+
+/// "<summary-csv digest>:<per-job digest>" over every job_result field.
+std::string replay_digest(const sc::run_summary& summary, const sc::simulator& sim) {
+  std::ostringstream csv;
+  summary.csv(csv);
+  fnv_digest jobs;
+  for (const auto& r : sim.results()) {
+    jobs.add(static_cast<std::uint64_t>(r.id)).add(r.name).add(r.kernel).add(r.target);
+    jobs.add(static_cast<std::uint64_t>(r.state)).add(static_cast<std::uint64_t>(r.n_gpus));
+    jobs.add(r.submit_s).add(r.start_s).add(r.end_s).add(r.queue_wait_s).add(r.gpu_energy_j);
+    jobs.add(r.core_mhz).add(static_cast<std::uint64_t>(r.requeues)).add(r.failure_reason);
+    jobs.add(static_cast<std::uint64_t>((r.demoted ? 1 : 0) | (r.clock_set_failed ? 2 : 0) |
+                                        (r.energy_degraded ? 4 : 0)));
+  }
+  return fnv_digest{}.add(csv.str()).str() + ":" + jobs.str();
+}
+
+const sc::plan_fn& suite_plan() {
+  static const sc::plan_fn plan = sc::make_suite_planner("V100");
+  return plan;
+}
+
+void reset_process_state() {
+  synergy::obs::energy_ledger::instance().reset();
+  synergy::telemetry::metrics_registry::instance().reset_values();
+}
+
+sc::job_trace parity_trace(std::uint64_t seed, std::size_t n_jobs, double interarrival_s) {
+  sc::trace_config tc;
+  tc.seed = seed;
+  tc.n_jobs = n_jobs;
+  tc.mean_interarrival_s = interarrival_s;
+  return sc::generate_trace(tc);
+}
+
+/// Replay `trace` under `policy_name` and digest the outcome.
+std::string parity_run(const sc::cluster_config& cc, const std::string& policy_name,
+                       const sc::job_trace& trace, sc::run_summary* out = nullptr) {
+  reset_process_state();
+  sc::simulator sim{cc, sc::make_policy(policy_name, suite_plan(), std::nullopt, &cc.econ)};
+  const auto summary = sim.run(trace);
+  if (out) *out = summary;
+  return replay_digest(summary, sim);
+}
+
+}  // namespace
+
+// Pinned digests of whole replays: every policy at congested (0.5 s) and
+// stable (2 s) load, the econ defer rule, cap admission, and a faulted
+// chaos run resumed from a mid-run checkpoint. They were taken from a scan
+// that offered every queue entry to place(), so any shortcut in the
+// scheduling pass that changes which job starts when, or where, shows here.
+TEST(SchedulingParity, FifoAndBackfillReplaysAreUnchanged) {
+  const sc::cluster_config cc;  // 16x4 V100
+  EXPECT_EQ(parity_run(cc, "fifo", parity_trace(101, 400, 0.5)),
+            "1905ff0b97d2c517:9fbc0d6619c11efc");
+  EXPECT_EQ(parity_run(cc, "backfill", parity_trace(102, 600, 0.5)),
+            "1051c796519f87b3:cdeebc5572650805");
+  EXPECT_EQ(parity_run(cc, "backfill", parity_trace(103, 600, 2.0)),
+            "1bc3c21ca9c18717:99052607df9b8cf0");
+}
+
+TEST(SchedulingParity, EnergyAwareReplaysAreUnchanged) {
+  const sc::cluster_config cc;
+  EXPECT_EQ(parity_run(cc, "energy", parity_trace(104, 400, 0.5)),
+            "eefadda25a8cd4cc:2b70080e05d72bbf");
+  EXPECT_EQ(parity_run(cc, "energy", parity_trace(105, 400, 2.0)),
+            "c077c74df942d280:03258b719b386a6c");
+}
+
+TEST(SchedulingParity, CostAwareDeferralIsUnchanged) {
+  sc::cluster_config cc;
+  cc.n_nodes = 4;
+  cc.gpus_per_node = 4;
+  cc.econ.enabled = true;
+  cc.econ.capex_usd_per_node_hour = 0.05;
+  // A 400 s tariff, expensive for its first half: deferrable jobs wait for
+  // the cheap half, and placements in the pricey half step one clock down.
+  cc.econ.price = synergy::econ::step_trace{{{0.0, 0.30}, {200.0, 0.05}}, 400.0};
+  cc.econ.carbon = synergy::econ::step_trace{{{0.0, 600.0}, {200.0, 100.0}}, 400.0};
+  cc.econ.defer_price_ratio = 1.0;
+  cc.econ.demote_price_ratio = 1.3;
+  sc::trace_config tc;
+  tc.seed = 106;
+  tc.n_jobs = 200;
+  tc.mean_interarrival_s = 2.0;
+  tc.target_mix = {"ES_50", "PL_50", "default"};
+  tc.deferrable_fraction = 0.5;
+  tc.deadline_slack_s = 700.0;
+  const auto trace = sc::generate_trace(tc);
+
+  reset_process_state();
+  sc::simulator sim{cc, sc::make_policy("cost", suite_plan(), std::nullopt, &cc.econ)};
+  const auto summary = sim.run(trace);
+  EXPECT_GT(summary.econ_jobs_deferred, 0u);
+  EXPECT_GT(summary.econ_price_demotions, 0u);
+  // The cause split pins which joules carry the deferral tag.
+  fnv_digest causes;
+  for (const double v : sim.econ_meter().cost_by_cause()) causes.add(v);
+  EXPECT_EQ(replay_digest(summary, sim) + ":" + causes.str(),
+            "9f34302942faf84f:e0f80f2214930fe9:edb1d475f8a157f1");
+}
+
+TEST(SchedulingParity, CapDemotionReplayIsUnchanged) {
+  sc::cluster_config cc;
+  cc.n_nodes = 4;
+  cc.gpus_per_node = 4;
+  cc.facility_cap_w = 3500.0;
+  sc::run_summary summary;
+  EXPECT_EQ(parity_run(cc, "energy", parity_trace(107, 200, 1.0), &summary),
+            "b7aebe83f859f8ef:905e0be36c4bdfb3");
+  EXPECT_GT(summary.cap_demotions, 0u);
+}
+
+TEST(SchedulingParity, ChaosReplayResumedFromACheckpointIsUnchanged) {
+  sc::cluster_config cc;
+  cc.n_nodes = 6;
+  cc.gpus_per_node = 4;
+  cc.faults.seed = 11;
+  cc.faults.clock_set_fail_rate = 0.05;
+  cc.faults.power_read_dropout_rate = 0.05;
+  cc.faults.device_lost_rate = 0.01;
+  cc.faults.max_node_losses = 1;
+  cc.chaos.seed = 77;
+  cc.chaos.mtbf_s = 60.0;
+  cc.chaos.restart_delay_s = 45.0;
+  cc.chaos.max_crashes = 3;
+  sc::trace_config tc;
+  tc.seed = 108;
+  tc.n_jobs = 150;
+  tc.gpu_mix = {1, 1, 2, 2, 4};
+  tc.mean_interarrival_s = 1.0;
+  const auto trace = sc::generate_trace(tc);
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("synergy_parity." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  reset_process_state();
+  sc::simulator full{cc, sc::make_policy("energy", suite_plan())};
+  full.set_checkpointing({.interval_s = 30.0, .dir = dir});
+  const auto full_summary = full.run(trace);
+  EXPECT_GT(full_summary.node_crashes, 0u);
+  EXPECT_GT(full_summary.requeues, 0u);
+  const std::string expected = replay_digest(full_summary, full);
+
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) files.push_back(e.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 3u);
+  const auto payload = sc::read_checkpoint_payload(files[files.size() / 2]);
+  ASSERT_TRUE(payload.has_value());
+  reset_process_state();
+  sc::simulator resumed{cc, sc::make_policy("energy", suite_plan())};
+  resumed.set_checkpointing({});
+  ASSERT_TRUE(resumed.restore_checkpoint(payload.value(), trace).ok());
+  const auto resumed_summary = resumed.resume(trace);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(replay_digest(resumed_summary, resumed), expected);
+  EXPECT_EQ(expected, "a524942755db70e1:c7a8948849e969d8");
+}
+
+// ---------------------------------------------------------- pass contract ----
+
+namespace {
+
+/// Forwarding policy that audits every place() offer. Without faults the
+/// queue is every arrived, unstarted job in trace order, and a job at
+/// default clocks holds its GPUs for exactly its runtime estimate, so the
+/// auditor rebuilds the head and its EASY reservation on its own.
+class pass_auditor final : public sc::scheduling_policy {
+ public:
+  pass_auditor(std::unique_ptr<sc::scheduling_policy> inner, const sc::job_trace& trace)
+      : inner_(std::move(inner)), trace_(trace) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool backfills() const override { return inner_->backfills(); }
+
+  std::optional<sc::placement> place(const sc::queued_job& job,
+                                     const sc::cluster_view& view) override {
+    ++offers;
+    if (static_cast<std::size_t>(job.job.n_gpus) > view.free_gpus()) ++over_capacity;
+    const sc::traced_job& head = queue_head(view.now);
+    if (view.is_head) {
+      if (job.job.id != head.id) ++wrong_head;
+    } else if (view.now + job.est_runtime_s > reservation(view, head.n_gpus)) {
+      ++past_reservation;
+    }
+    auto verdict = inner_->place(job, view);
+    if (verdict) {
+      started_.insert(job.job.id);
+      for (const auto& g : verdict->gpus)
+        busy_until_[{g.node, g.gpu}] = view.now + job.est_runtime_s;
+    }
+    return verdict;
+  }
+
+  std::size_t offers{0};
+  std::size_t over_capacity{0};
+  std::size_t past_reservation{0};
+  std::size_t wrong_head{0};
+
+ private:
+  [[nodiscard]] const sc::traced_job& queue_head(double now) const {
+    for (const auto& j : trace_.jobs)
+      if (j.submit_s <= now && !started_.contains(j.id)) return j;
+    throw std::logic_error("place() offered with an empty queue");
+  }
+
+  /// The head's shadow time: the n-th earliest instant a GPU is free.
+  [[nodiscard]] double reservation(const sc::cluster_view& view, int n) const {
+    std::vector<double> avail;
+    for (std::size_t ni = 0; ni < view.nodes.size(); ++ni)
+      for (std::size_t g = 0; g < view.nodes[ni].gpu_busy.size(); ++g)
+        avail.push_back(view.nodes[ni].gpu_busy[g] ? busy_until_.at({ni, g}) : view.now);
+    if (static_cast<std::size_t>(n) > avail.size()) return std::numeric_limits<double>::infinity();
+    std::sort(avail.begin(), avail.end());
+    return avail[static_cast<std::size_t>(n) - 1];
+  }
+
+  std::unique_ptr<sc::scheduling_policy> inner_;
+  const sc::job_trace& trace_;
+  std::set<int> started_;
+  std::map<std::pair<std::size_t, std::size_t>, double> busy_until_;
+};
+
+/// Forwarding policy that logs every defer() and place() call.
+class call_log final : public sc::scheduling_policy {
+ public:
+  struct call {
+    double now;
+    int id;
+    bool is_place;
+  };
+
+  explicit call_log(std::unique_ptr<sc::scheduling_policy> inner) : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool backfills() const override { return inner_->backfills(); }
+  [[nodiscard]] bool defer(const sc::queued_job& job,
+                           const sc::cluster_view& view) const override {
+    calls.push_back({view.now, job.job.id, false});
+    return inner_->defer(job, view);
+  }
+  std::optional<sc::placement> place(const sc::queued_job& job,
+                                     const sc::cluster_view& view) override {
+    calls.push_back({view.now, job.job.id, true});
+    return inner_->place(job, view);
+  }
+
+  /// "d<id>" per defer() and "p<id>" per place() call made at `now`.
+  [[nodiscard]] std::vector<std::string> at(double now) const {
+    std::vector<std::string> out;
+    for (const auto& c : calls)
+      if (c.now == now) out.push_back((c.is_place ? "p" : "d") + std::to_string(c.id));
+    return out;
+  }
+
+  mutable std::vector<call> calls;
+
+ private:
+  std::unique_ptr<sc::scheduling_policy> inner_;
+};
+
+}  // namespace
+
+TEST(SchedulingPass, PlaceIsOnlyOfferedJobsThatCanStartNow) {
+  sc::cluster_config cc;
+  cc.n_nodes = 4;
+  cc.gpus_per_node = 4;
+  for (const double interarrival_s : {0.5, 4.0}) {
+    const auto trace = parity_trace(211, 300, interarrival_s);
+    auto auditor = std::make_unique<pass_auditor>(sc::make_easy_backfill(), trace);
+    const pass_auditor& audit = *auditor;
+    sc::simulator sim{cc, std::move(auditor)};
+    const auto summary = sim.run(trace);
+    EXPECT_EQ(summary.completed, trace.jobs.size());
+    EXPECT_GT(audit.offers, 0u);
+    EXPECT_EQ(audit.over_capacity, 0u) << "interarrival " << interarrival_s;
+    EXPECT_EQ(audit.past_reservation, 0u) << "interarrival " << interarrival_s;
+    EXPECT_EQ(audit.wrong_head, 0u) << "interarrival " << interarrival_s;
+  }
+}
+
+TEST(SchedulingPass, DeferIsAskedOfEveryQueuedJobBeforeAnyFilter) {
+  // 1 node x 4 GPUs; pricey until t=100. Job 1 fills the node. Jobs 2 (too
+  // big for the free GPUs) and 3 (behind the head) are deferrable; job 4
+  // is not, but no GPU is free for it.
+  sc::cluster_config cc;
+  cc.n_nodes = 1;
+  cc.gpus_per_node = 4;
+  cc.econ.enabled = true;
+  cc.econ.price = synergy::econ::step_trace{{{0.0, 0.30}, {100.0, 0.05}, {300.0, 0.05}}, 0.0};
+  sc::job_trace trace;
+  trace.jobs = {make_job(1, 0.0, 4, 600), make_job(2, 1.0, 4, 10), make_job(3, 2.0, 1, 10),
+                make_job(4, 3.0, 1, 10)};
+  trace.jobs[1].deferrable = true;
+  trace.jobs[2].deferrable = true;
+
+  reset_process_state();
+  auto log = std::make_unique<call_log>(sc::make_policy("cost", {}, std::nullopt, &cc.econ));
+  const call_log& calls = *log;
+  sc::simulator sim{cc, std::move(log)};
+  const auto summary = sim.run(trace);
+  ASSERT_GT(sim.result(1).end_s, 3.0);
+
+  using v = std::vector<std::string>;
+  EXPECT_EQ(calls.at(0.0), (v{"d1", "p1"}));
+  EXPECT_EQ(calls.at(1.0), (v{"d2"}));
+  EXPECT_EQ(calls.at(2.0), (v{"d2", "d3"}));
+  EXPECT_EQ(calls.at(3.0), (v{"d2", "d3", "d4"}));  // no GPU free: job 4 is not offered
+  EXPECT_EQ(summary.econ_jobs_deferred, 2u);
+  EXPECT_EQ(summary.completed, trace.jobs.size());
+  EXPECT_GE(sim.result(2).start_s, 100.0);
+  EXPECT_GT(sim.econ_meter().cost_by_cause()[static_cast<std::size_t>(
+                synergy::obs::cause::econ_deferred)],
+            0.0);
+}
+
+TEST(SchedulingPass, ResultLookupRejectsUnknownIds) {
+  sc::cluster_config cc;
+  cc.n_nodes = 1;
+  cc.gpus_per_node = 2;
+  sc::simulator sim{cc, sc::make_fifo()};
+  EXPECT_THROW((void)sim.result(1), std::out_of_range);
+  sc::job_trace trace;
+  trace.jobs = {make_job(7, 0.0, 1, 10), make_job(3, 1.0, 2, 10)};
+  sim.run(trace);
+  EXPECT_EQ(sim.result(7).id, 7);
+  EXPECT_EQ(sim.result(3).n_gpus, 2);
+  EXPECT_THROW((void)sim.result(1), std::out_of_range);
+  EXPECT_THROW((void)sim.result(-7), std::out_of_range);
+}
+
+// ----------------------------------------------------------- chaos outage ----
+
+namespace {
+
+/// The crash time of a one-crash chaos plan: the simulator draws it as the
+/// first exponential inter-arrival of the chaos stream.
+double first_crash_s(const sc::chaos_plan& chaos) {
+  synergy::common::pcg32 rng{chaos.seed};
+  return -chaos.mtbf_s * std::log1p(-rng.uniform());
+}
+
+}  // namespace
+
+TEST(ChaosOutage, FullFleetJobArrivingDuringAnOutageWaitsForTheRestart) {
+  sc::cluster_config cc;
+  cc.n_nodes = 2;
+  cc.gpus_per_node = 4;
+  cc.chaos.mtbf_s = 50.0;
+  cc.chaos.restart_delay_s = 100.0;
+  cc.chaos.max_crashes = 1;
+  const double crash_s = first_crash_s(cc.chaos);
+  sc::job_trace trace;
+  trace.jobs = {make_job(1, crash_s + 1.0, 8, 10)};
+
+  sc::simulator sim{cc, sc::make_easy_backfill()};
+  const auto summary = sim.run(trace);
+  EXPECT_EQ(summary.node_crashes, 1u);
+  EXPECT_EQ(summary.node_restarts, 1u);
+  const auto& r = sim.result(1);
+  EXPECT_EQ(r.state, ss::job_state::completed) << r.failure_reason;
+  EXPECT_GE(r.start_s, crash_s + cc.chaos.restart_delay_s);
+  EXPECT_EQ(summary.completed, 1u);
+}
+
+TEST(ChaosOutage, PermanentLossStillFailsAJobTheFleetCanNoLongerHold) {
+  sc::cluster_config cc;
+  cc.n_nodes = 2;
+  cc.gpus_per_node = 4;
+  cc.chaos.mtbf_s = 50.0;
+  cc.chaos.restart_delay_s = 0.0;  // crashed nodes never return
+  cc.chaos.max_crashes = 1;
+  sc::job_trace trace;
+  trace.jobs = {make_job(1, first_crash_s(cc.chaos) + 1.0, 8, 10)};
+
+  sc::simulator sim{cc, sc::make_easy_backfill()};
+  const auto summary = sim.run(trace);
+  EXPECT_EQ(summary.node_crashes, 1u);
+  EXPECT_EQ(sim.result(1).state, ss::job_state::failed);
+  EXPECT_EQ(sim.result(1).failure_reason, "requests more GPUs than the cluster has");
 }
