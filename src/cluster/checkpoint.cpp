@@ -93,6 +93,14 @@ template <class Ar> void visit(Ar& ar, traced_job& j) {
      j.deferrable, j.deadline_s);
 }
 template <class Ar> void visit(Ar& ar, queued_job& q) { ar(q.job, q.est_runtime_s); }
+/// The live entries in queue order, written as a plain list; the reader
+/// rebuilds the candidate index from them.
+template <class Ar> void visit(Ar& ar, job_queue& q) {
+  std::vector<queued_job> entries;
+  if constexpr (!Ar::reading) entries.assign(q.begin(), q.end());
+  ar(entries);
+  if constexpr (Ar::reading) q = job_queue{std::move(entries)};
+}
 template <class Ar> void visit(Ar& ar, job_result& r) {
   ar(r.id, r.name, r.kernel, r.target, r.state, r.n_gpus, r.submit_s, r.start_s, r.end_s,
      r.queue_wait_s, r.gpu_energy_j, r.core_mhz, r.demoted, r.clock_set_failed,
